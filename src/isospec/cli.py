@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -330,7 +331,8 @@ def build_parser():
     parser.add_argument("--exact", action="store_true", help="demand the exact rational backend")
     parser.add_argument("--float", action="store_true", help="force the float backend")
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP, help="enumeration cap on vertices")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
+    parser.add_argument("--jobs", type=_jobs, default=1,
+                        help="parallel workers for sweeps (at most the CPU count)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="eigenvalues and eigenbasis of the weighted Laplacian")
@@ -384,6 +386,14 @@ def build_parser():
     return parser
 
 
+def _jobs(text):
+    """A worker count of at least 1, clamped to the CPU count."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return min(value, os.cpu_count() or 1)
+
+
 def _parse_range(text):
     if ".." in text:
         lo, hi = text.split("..", 1)
@@ -414,13 +424,15 @@ def _render_text(report):
     return "\n".join(lines)
 
 
-def run(argv):
-    """Execute one CLI invocation; returns (exit_code, report dict)."""
-    parser = build_parser()
+def _parse(argv):
+    """(args, None) for a valid command line, else (None, exit code)."""
     try:
-        args = parser.parse_args(argv)
+        return build_parser().parse_args(argv), None
     except SystemExit as exc:
-        return (2 if exc.code not in (0, None) else 0), None
+        return None, (2 if exc.code not in (0, None) else 0)
+
+
+def _execute(args, argv):
     start = time.time()
     try:
         payload, checks, findings = args.fn(args)
@@ -442,21 +454,28 @@ def run(argv):
     return code, report
 
 
+def run(argv):
+    """Execute one CLI invocation; returns (exit_code, report dict)."""
+    args, code = _parse(argv)
+    if args is None:
+        return code, None
+    return _execute(args, argv)
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    code, report = run(argv)
-    if report is None:
+    args, code = _parse(argv)
+    if args is None:
         return code
+    code, report = _execute(args, argv)
     if "error" in report:
         print(f"error: {report['error']}", file=sys.stderr)
         return code
-    json_mode = "--json" in argv
     text = canonical_json(
         {k: v for k, v in report.items() if k != "timing_s"}
-    ) if json_mode else _render_text(report)
-    if report.get("command") and "--out" in argv:
-        idx = argv.index("--out")
-        with open(argv[idx + 1], "w", encoding="utf-8") as fh:
+    ) if args.json else _render_text(report)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)

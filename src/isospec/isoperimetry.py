@@ -3,16 +3,22 @@
 The n'th isoperimetric value of a chain is the minimum over families of n
 pairwise-disjoint nonempty vertex sets of the mean normalized outflow
 (1/n) sum_i boundary(Q_i)/pi(Q_i); the tilde variant restricts the minimum
-to partitions.  Minimization is exact: boundaries and masses are accumulated
-as integers over fixed common denominators and only the per-class ratios are
-materialized as Fractions.
+to partitions.  Minimization is exact.  Each top-level call builds one cut
+table of all 2^V vertex sets (integer masses and outflows over fixed common
+denominators, the ratio of each set as a Fraction and as a float, and the
+least ratio over the subsets of each set).  A branch-and-bound search over
+canonical families cuts a branch when a float lower bound from that table,
+taken at an anchor, inside a class or at a class's close, exceeds the
+incumbent by more than a relative and absolute margin of 1e-9.  The float
+error of a bound is below 1e-14 relative, so the margin never cuts a family
+that ties the optimum or beats it; the surviving families are compared exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 from .calculus import gradient_norm1
 from .errors import CapExceeded, InvalidFamily
@@ -28,7 +34,7 @@ class IsoperimetricReport:
     iota_tilde: object
     witness: object
     witness_tilde: object
-    families_examined: int
+    families_examined: int   # complete families the searches reached and scored
 
 
 @dataclass(frozen=True)
@@ -80,145 +86,245 @@ def family_objective(chain, fam):
 # Exact minimization
 # ---------------------------------------------------------------------------
 
-def _minimize(chain, n, mode):
+# Relative and absolute slack of the float pruning filter.  A bound is a float
+# sum of at most n + 1 correctly rounded nonnegative terms, so its relative
+# error is below (n + 2) * 2**-53, under 1e-14 for any n a 2^V table can
+# hold; 1e-9 leaves five orders of magnitude between that error and a prune.
+PRUNE_MARGIN = 1e-9
+
+
+@dataclass(frozen=True)
+class CutTable:
+    """Cut values of every vertex set of a chain, indexed by bitmask.
+
+    pi_num[S] and boundary_num[S] are the mass and the outflow of S on the
+    chain's integer scales (floats on a float chain); ratio[S] is
+    boundary(S)/pi(S), a Fraction on an exact chain; ratio_f is its float copy
+    and lb[S] the least ratio_f over the nonempty subsets of S (lb[0] = inf).
+    last_ratio[S] is ratio[S] as the last class of a partition scores it: the
+    same value on an exact chain; on a float chain the flow inside S is summed
+    pair by pair rather than member by member, the rounding the minimizer has
+    always given that class.
+    """
+
+    vertex_count: int
+    pi_num: list
+    boundary_num: list
+    ratio: list
+    ratio_f: list
+    lb: list
+    last_ratio: list
+
+
+def cut_table(chain):
+    """The cut table of `chain`: O(2^V) sums plus an O(V 2^V) subset-min transform.
+
+    A set's mass, outflow and inner flow are extended from the set without its
+    largest vertex, so on a float chain every sum runs over the members in
+    increasing order.
+    """
+    vcount = chain.graph.vertex_count
+    pi_v = chain._pi_num
+    phi = chain._phi_num
+    out_v = chain._out_num
+    size = 1 << vcount
+    pi_num = [0] * size
+    out_sum = [0] * size
+    inner = [0] * size     # flow between members, both directions
+    pairwise = [0] * size  # the same, one pair at a time (float chains only)
+    for h in range(vcount):
+        base = 1 << h
+        sym = [phi[h][m] + phi[m][h] for m in range(h)]
+        cross = [0] * base  # cross[T]: flow between h and the members of T
+        for t in range(1, base):
+            top = t.bit_length() - 1
+            cross[t] = cross[t ^ (1 << top)] + sym[top]
+        ph = pi_v[h]
+        oh = out_v[h]
+        for t in range(base):
+            pi_num[base | t] = pi_num[t] + ph
+            out_sum[base | t] = out_sum[t] + oh
+            inner[base | t] = inner[t] + cross[t]
+            if not chain.exact:
+                x = pairwise[t]
+                for m in _members(t):
+                    x += sym[m]
+                pairwise[base | t] = x
+    boundary_num = [o - i for o, i in zip(out_sum, inner)]
+    if chain.exact:
+        pi_den = chain._pi_den
+        phi_den = chain._phi_den
+        ratio = [None] + [
+            Fraction(boundary_num[s] * pi_den, pi_num[s] * phi_den) for s in range(1, size)
+        ]
+        ratio_f = [inf] + [float(r) for r in ratio[1:]]
+        last_ratio = ratio
+    else:
+        ratio = [None] + [boundary_num[s] / pi_num[s] for s in range(1, size)]
+        ratio_f = [inf] + ratio[1:]
+        last_ratio = [None] + [(out_sum[s] - pairwise[s]) / pi_num[s] for s in range(1, size)]
+    lb = list(ratio_f)
+    for v in range(vcount):
+        bit = 1 << v
+        for s in range(size):
+            if s & bit and lb[s ^ bit] < lb[s]:
+                lb[s] = lb[s ^ bit]
+    return CutTable(vcount, pi_num, boundary_num, ratio, ratio_f, lb, last_ratio)
+
+
+def _minimize(chain, n, mode, table):
     """Minimum mean normalized outflow over canonical families, with its witness.
 
-    Classes are built one at a time in canonical order (class anchors are the
-    increasing class minima).  Once a class is completed its ratio is final, so
-    a partial sum at or above the incumbent prunes the branch: the chain is
-    strongly connected, hence every remaining class ratio is strictly positive.
-    Ties between complete families go to the lexicographically smallest
-    canonical labeling.
+    Returns (value, witness, leaves), leaves being the complete families the
+    search reached and scored.  Classes are built one at a time in canonical
+    order: class k's anchor is its minimum, the anchors increase, and in
+    disjoint mode the vertices passed over by an anchor stay unassigned.  With
+    `partial` the float sum of the closed classes' ratios and LB the subset
+    minima of `table`, the chain's `cut_table`, a branch is cut
+
+    * at the anchor a of class k, when partial + (n-k+1)·LB[a ∪ rest] is above
+      the cutoff (every later class lies in a ∪ rest, the vertices from a on);
+    * inside the member recursion, when partial + LB[cur ∪ undecided]
+      + (n-k)·LB[rest \\ cur] is above it;
+    * when class k closes with total t, when t + (n-k)·LB[remaining] is.
+
+    The cutoff is the incumbent's float value inflated by PRUNE_MARGIN, both
+    relative and absolute.  Each bound is a float image of a true lower bound,
+    off by far less than that margin, so a family that ties the optimum or
+    beats it is never cut.  The surviving leaves are scored exactly (ratio sums
+    as Fractions on exact chains; on float chains the float sum in class order)
+    and ties go to the lexicographically smallest canonical labelling.
     """
-    g = chain.graph
-    vcount = g.vertex_count
-    pi_num = chain._pi_num
-    pi_den = chain._pi_den
-    phi_num = chain._phi_num
-    phi_den = chain._phi_den
-    out_num = chain._out_num
+    vcount = table.vertex_count
+    ratio = table.ratio
+    ratio_f = table.ratio_f
+    lb = table.lb
     exact = chain.exact
+    last_ratio_f = ratio_f if exact else table.last_ratio
+    partition = mode == "partition"
 
     best_sum = None
     best_labels = None
-    labels = [0] * vcount
+    best_classes = None
+    cutoff = inf
+    classes = []           # masks of the closed classes
     leaves = 0
 
-    def close_ratio(bnum, pnum):
-        if exact:
-            return Fraction(bnum * pi_den, pnum * phi_den)
-        return (bnum * pi_den) / (pnum * phi_den)
-
-    def finish(total):
-        nonlocal best_sum, best_labels, leaves
+    def finish(total_f):
+        nonlocal best_sum, best_labels, best_classes, cutoff, leaves
         leaves += 1
+        if total_f > cutoff:
+            return
+        total = sum(ratio[m] for m in classes) if exact else total_f
+        if best_sum is not None and total > best_sum:
+            return
+        labels = [0] * vcount
+        for k, m in enumerate(classes, 1):
+            for v in _members(m):
+                labels[v] = k
+        labels = tuple(labels)
         if best_sum is None or total < best_sum:
             best_sum = total
-            best_labels = tuple(labels)
-        elif total == best_sum:
-            cand = tuple(labels)
-            if cand < best_labels:
-                best_labels = cand
+            f = float(total)
+            cutoff = f + PRUNE_MARGIN * f + PRUNE_MARGIN
+        elif labels >= best_labels:
+            return
+        best_labels = labels
+        best_classes = tuple(classes)
 
     def pick_class(k, avail, partial):
-        # avail is sorted; choose class k's anchor (its minimum), then members.
-        # In disjoint mode vertices before the anchor stay unassigned forever,
-        # since every later class has a larger minimum.
-        if mode == "partition":
-            anchors = [0]
-        else:
-            anchors = [i for i in range(len(avail)) if len(avail) - i - 1 >= n - k]
-        for ai in anchors:
-            anchor = avail[ai]
-            labels[anchor] = k
-            rest = avail[ai + 1:]
-            if mode == "partition" and k == n:
-                # the last partition class absorbs everything that is left
-                psum = pi_num[anchor]
-                osum = out_num[anchor]
-                inner = 0
-                members = [anchor]
-                for t in rest:
-                    labels[t] = k
-                    for m in members:
-                        inner += phi_num[t][m] + phi_num[m][t]
-                    members.append(t)
-                    psum += pi_num[t]
-                    osum += out_num[t]
-                finish(partial + close_ratio(osum - inner, psum))
-                for t in rest:
-                    labels[t] = 0
-                labels[anchor] = 0
-                continue
+        after = n - k          # classes still to place after this one
+        verts = _members(avail)
+        for ai, a in enumerate(verts[:1] if partition else verts):
+            bit = 1 << a
+            rest = avail & ~(bit | (bit - 1))
+            members = verts[ai + 1:]
+            if len(members) < after or partial + (after + 1) * lb[bit | rest] > cutoff:
+                break          # a later anchor only shrinks a ∪ rest
+            if partition and not after:
+                classes.append(avail)
+                finish(partial + last_ratio_f[avail])
+                classes.pop()
+                break
+            undecided = [rest]
+            for v in members:
+                undecided.append(undecided[-1] ^ (1 << v))
 
-            members = [anchor]
-
-            def extend(idx, psum, osum, inner):
-                if idx == len(rest):
-                    total = partial + close_ratio(osum - inner, psum)
-                    if k == n:
-                        finish(total)
-                        return
-                    if best_sum is not None and total >= best_sum:
-                        return
-                    nxt = [v for v in rest if labels[v] == 0]
-                    if len(nxt) >= n - k:
-                        pick_class(k + 1, nxt, total)
+            def extend(i, cur, free, nfree):
+                # cur: class so far; free: rest \ cur, of size nfree;
+                # members[i:] undecided
+                bound = partial + lb[cur | undecided[i]]
+                if after:
+                    bound += after * lb[free]
+                if bound > cutoff:
                     return
-                t = rest[idx]
-                extend(idx + 1, psum, osum, inner)
-                add = 0
-                for m in members:
-                    add += phi_num[t][m] + phi_num[m][t]
-                members.append(t)
-                labels[t] = k
-                extend(idx + 1, psum + pi_num[t], osum + out_num[t], inner + add)
-                members.pop()
-                labels[t] = 0
+                if i == len(members):
+                    total = partial + ratio_f[cur]
+                    classes.append(cur)
+                    if not after:
+                        finish(total)
+                    elif total + after * lb[free] <= cutoff:
+                        pick_class(k + 1, free, total)
+                    classes.pop()
+                    return
+                extend(i + 1, cur, free, nfree)
+                if nfree > after:
+                    t = 1 << members[i]
+                    extend(i + 1, cur | t, free ^ t, nfree - 1)
 
-            extend(0, pi_num[anchor], out_num[anchor], 0)
-            labels[anchor] = 0
+            extend(0, bit, rest, len(members))
 
-    pick_class(1, list(range(vcount)), Fraction(0) if exact else 0.0)
-    witness_classes = [[] for _ in range(n)]
-    for v, lab in enumerate(best_labels):
-        if lab:
-            witness_classes[lab - 1].append(v)
-    witness = SubsetFamily(tuple(frozenset(c) for c in witness_classes), mode)
-    value = best_sum / n
-    return value, witness, leaves
+    pick_class(1, (1 << vcount) - 1, 0.0)
+    witness = SubsetFamily(tuple(frozenset(_members(m)) for m in best_classes), mode)
+    return best_sum / n, witness, leaves
 
 
-def isoperimetric_constant(chain, n, mode="both", cap=DEFAULT_CAP):
-    """Exact iota_n / iota~_n with minimizing witnesses.
+def _members(mask):
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
-    mode selects which side is computed ("disjoint", "partition" or "both");
-    the unsolved side is reported as None.
-    """
+
+def _check_cap(chain, cap):
     vcount = chain.graph.vertex_count
-    if not 1 <= n <= vcount:
-        raise ValueError(f"n must be in 1..{vcount}, got {n}")
     if vcount > cap:
         raise CapExceeded(
             f"{vcount} vertices exceeds the enumeration cap {cap}; pass a larger cap"
         )
+
+
+def isoperimetric_constant(chain, n, mode="both", cap=DEFAULT_CAP, table=None):
+    """Exact iota_n / iota~_n with minimizing witnesses.
+
+    mode selects which side is computed ("disjoint", "partition" or "both");
+    the unsolved side is reported as None.  `table`, the chain's `cut_table`,
+    is built here when not given; callers that ask for several n pass one.
+    """
+    vcount = chain.graph.vertex_count
+    if not 1 <= n <= vcount:
+        raise ValueError(f"n must be in 1..{vcount}, got {n}")
+    _check_cap(chain, cap)
+    if table is None:
+        table = cut_table(chain)
     iota = iota_tilde = witness = witness_tilde = None
     examined = 0
     if mode in ("disjoint", "both"):
-        iota, witness, k = _minimize(chain, n, "disjoint")
+        iota, witness, k = _minimize(chain, n, "disjoint", table)
         examined += k
     if mode in ("partition", "both"):
-        iota_tilde, witness_tilde, k = _minimize(chain, n, "partition")
+        iota_tilde, witness_tilde, k = _minimize(chain, n, "partition", table)
         examined += k
     return IsoperimetricReport(n, iota, iota_tilde, witness, witness_tilde, examined)
 
 
 def isoperimetric_table(chain, max_n=None, cap=DEFAULT_CAP):
-    """Reports for n = 1..max_n (default the vertex count)."""
+    """Reports for n = 1..max_n (default the vertex count), from one cut table."""
     vcount = chain.graph.vertex_count
     if max_n is None:
         max_n = vcount
-    return tuple(isoperimetric_constant(chain, n, "both", cap) for n in range(1, max_n + 1))
+    _check_cap(chain, cap)
+    table = cut_table(chain)
+    return tuple(
+        isoperimetric_constant(chain, n, "both", cap, table) for n in range(1, max_n + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +525,11 @@ def supergeometric_classify(chain, max_n=None, cap=DEFAULT_CAP):
         max_n = vcount
     if not 2 <= max_n <= vcount:
         raise ValueError(f"max_n must be in 2..{vcount}")
+    _check_cap(chain, cap)
+    table = cut_table(chain)
     rows = []
     for n in range(2, max_n + 1):
-        rep = isoperimetric_constant(chain, n, "both", cap)
+        rep = isoperimetric_constant(chain, n, "both", cap, table)
         rows.append((n, rep.iota, rep.iota_tilde, rep.iota == rep.iota_tilde))
     overall = all(r[3] for r in rows) if max_n == vcount else None
     return SupergeometricReport(tuple(rows), overall, max_n)

@@ -140,12 +140,56 @@ def test_cap_override(docs):
     assert "cap" in report["error"]
 
 
-def test_json_and_out_flag(docs, tmp_path, capsys):
+@pytest.mark.parametrize("spelling", ["separate", "equals"])
+def test_json_and_out_flag(docs, tmp_path, capsys, spelling):
     from isospec.cli import main
 
     out = tmp_path / "report.json"
-    rc = main(["--json", "--out", str(out), "iso", docs["c4"], "-n", "2"])
+    flag = ["--out", str(out)] if spelling == "separate" else [f"--out={out}"]
+    rc = main(["--json", *flag, "iso", docs["c4"], "-n", "2"])
     assert rc == 0
+    assert capsys.readouterr().out == ""
     data = json.loads(out.read_text())
     assert data["payload"]["iota"] == "1/2"
     assert "timing_s" not in data
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(jobs, capsys):
+    from isospec.cli import main
+
+    code, report = run(["--jobs", jobs, "probe", "three-clique"])
+    assert code == 2 and report is None
+    capsys.readouterr()
+    assert main(["--jobs", jobs, "probe", "three-clique"]) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_jobs_clamped_to_cpu_count(monkeypatch):
+    import multiprocessing
+
+    from isospec import cli
+
+    class FakePool:
+        """Records its size and maps serially; starts no worker."""
+
+        sizes = []
+
+        def __init__(self, processes):
+            self.sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    code, report = run(["--jobs", "1000", "probe", "three-clique", "--sweep", "2..3"])
+    assert code == 0
+    assert FakePool.sizes == [3]
+    assert [p["block_size"] for p in report["payload"]["points"]] == [2, 3]

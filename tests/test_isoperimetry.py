@@ -1,16 +1,20 @@
 import random
 from fractions import Fraction
+from itertools import chain as chain_iter, combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from isospec.chains import lazy_max_degree_kernel, natural_walk
+from isospec.chains import build_chain, lazy_max_degree_kernel, natural_walk
 from isospec.errors import CapExceeded, InvalidFamily
 from isospec.graphs import (
+    complete_bipartite_graph,
     complete_graph,
     connected_graphs,
     cycle_graph,
     make_graph,
     path_graph,
+    petersen_graph,
     strongly_connected_digraphs,
     subset_family,
     three_clique_graph,
@@ -103,22 +107,163 @@ def test_c4_table_and_witness(c4):
     assert [sorted(c) for c in table[1].witness.classes] == [[0, 1], [2, 3]]
 
 
+def _first_minima(ch, n):
+    """Per mode, the first minimum in enumerate_families order, i.e. the
+    minimizing family with the lexicographically smallest labelling."""
+    ratios = {}
+    out = {}
+    for mode in ("disjoint", "partition"):
+        best = best_fam = None
+        for fam in enumerate_families(ch.graph.vertex_count, n, mode):
+            total = 0
+            for cls in fam.classes:
+                if cls not in ratios:
+                    ratios[cls] = ch.boundary_ratio(cls)
+                total += ratios[cls]
+            if best is None or total < best:
+                best, best_fam = total, fam
+        out[mode] = (best / n, best_fam)
+    return out
+
+
+def _float_twin(ch):
+    return build_chain(ch.graph, [[float(x) for x in row] for row in ch.kernel], exact=False)
+
+
+def _connected_graphs_6():
+    """Connected graphs on 6 vertices, one per isomorphism class: each has a
+    vertex whose removal leaves a connected 5-vertex graph, so it arises by
+    joining a new vertex to a nonempty subset of a connected_graphs(5) member.
+    Classes are told apart by the least edge code over the vertex orders that
+    sort the degrees in decreasing order."""
+    pair_bit = {p: 1 << i for i, p in enumerate(combinations(range(6), 2))}
+    seen = {}
+    for base in connected_graphs(5):
+        edges = [(u, v) for u, v in base.arcs if u < v]
+        for mask in range(1, 32):
+            es = edges + [(v, 5) for v in range(5) if mask >> v & 1]
+            deg = [sum(v in e for e in es) for v in range(6)]
+            groups = [[v for v in range(6) if deg[v] == d] for d in sorted(set(deg), reverse=True)]
+            code = None
+            for orders in product(*(permutations(g) for g in groups)):
+                pos = {v: i for i, v in enumerate(chain_iter(*orders))}
+                c = sum(pair_bit[tuple(sorted((pos[u], pos[v])))] for u, v in es)
+                code = c if code is None else min(code, c)
+            seen.setdefault(code, make_graph(6, es, undirected=True))
+    return [seen[c] for c in sorted(seen)]
+
+
 def test_minimizer_matches_brute_force():
-    rng = random.Random(53)
-    graphs = [cycle_graph(4), path_graph(4), complete_graph(4),
-              make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
-              cycle_graph(5)]
-    for g in graphs:
-        ch = natural_walk(g)
-        v = g.vertex_count
-        for n in range(1, v + 1):
+    """Both backends against enumerate_families: values, and witnesses equal
+    to the first minimum in enumeration order (the lexicographically smallest
+    labelling), on all strongly connected 4-vertex digraphs, all connected
+    graphs of at most 6 vertices and tie-heavy symmetric graphs."""
+    cases = []
+    for g in [cycle_graph(4), path_graph(4), complete_graph(4),
+              make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]), cycle_graph(5)]:
+        cases.append((natural_walk(g), None))
+    for g in strongly_connected_digraphs(4):
+        cases += [(natural_walk(g), None), (lazy_max_degree_kernel(g), None)]
+    graphs = [g for v in range(2, 6) for g in connected_graphs(v)] + _connected_graphs_6()
+    assert len(graphs) == 1 + 2 + 6 + 21 + 112
+    cases += [(natural_walk(g), None) for g in graphs]
+    cases += [(natural_walk(cycle_graph(8)), [4]),
+              (natural_walk(complete_bipartite_graph(3, 3)), None),
+              (natural_walk(petersen_graph()), [2])]
+    for ch, ns in cases:
+        v = ch.graph.vertex_count
+        twin = _float_twin(ch)
+        for n in ns or range(1, v + 1):
+            brute = _first_minima(ch, n)
             rep = isoperimetric_constant(ch, n)
-            for mode, got, wit in (("disjoint", rep.iota, rep.witness),
-                                   ("partition", rep.iota_tilde, rep.witness_tilde)):
-                brute = min(family_objective(ch, f) for f in enumerate_families(v, n, mode))
-                assert got == brute, (g, n, mode)
-                assert family_objective(ch, wit) == got
-    _ = rng
+            frep = isoperimetric_constant(twin, n)
+            for mode, got, wit, fgot, fwit in (
+                ("disjoint", rep.iota, rep.witness, frep.iota, frep.witness),
+                ("partition", rep.iota_tilde, rep.witness_tilde,
+                 frep.iota_tilde, frep.witness_tilde),
+            ):
+                want, want_fam = brute[mode]
+                assert got == want, (sorted(ch.graph.arcs), n, mode)
+                assert wit == want_fam, (sorted(ch.graph.arcs), n, mode)
+                assert abs(fgot - float(want)) <= 1e-12, (sorted(ch.graph.arcs), n, mode)
+                assert fwit.mode == mode and len(fwit.classes) == n
+                assert family_objective(ch, fwit) == want, (sorted(ch.graph.arcs), n, mode)
+
+
+def _bitmask_minima(ch, n):
+    """Bitmask brute force, independent of enumerate_families and of the cut
+    table: every family as class masks with increasing minima, scored with
+    MarkovChain.boundary_ratio, minimized over (value, labelling)."""
+    v = ch.graph.vertex_count
+    full = (1 << v) - 1
+    ratio = [None] + [
+        ch.boundary_ratio([u for u in range(v) if m >> u & 1]) for m in range(1, full + 1)
+    ]
+    best = {}
+
+    def rec(classes, avail, mode):
+        if len(classes) == n:
+            if mode == "partition" and avail:
+                return
+            labels = [0] * v
+            for k, m in enumerate(classes, 1):
+                for u in range(v):
+                    if m >> u & 1:
+                        labels[u] = k
+            key = (sum(ratio[m] for m in classes) / n, tuple(labels))
+            if mode not in best or key < best[mode]:
+                best[mode] = key
+            return
+        for a in range(v):
+            if not avail >> a & 1:
+                continue
+            rest = avail & ~((2 << a) - 1)
+            sub = rest
+            while True:
+                rec(classes + [(1 << a) | sub], rest & ~sub, mode)
+                if not sub:
+                    break
+                sub = (sub - 1) & rest
+            if mode == "partition":
+                break
+
+    for mode in ("disjoint", "partition"):
+        rec([], full, mode)
+    return best
+
+
+@st.composite
+def rational_chains(draw):
+    """A random strongly connected digraph on 5-7 vertices (a Hamiltonian
+    cycle plus random arcs) with integer weights 1..top per arc and 0..top on
+    the diagonal, normalized per row.  With top = 1 the kernel is a natural or
+    lazy walk, whose symmetries make ties between families common."""
+    v = draw(st.integers(5, 7))
+    order = draw(st.permutations(range(v)))
+    arcs = {(order[i], order[(i + 1) % v]) for i in range(v)}
+    others = [(a, b) for a in range(v) for b in range(v) if a != b and (a, b) not in arcs]
+    arcs |= set(draw(st.lists(st.sampled_from(others), max_size=2 * v)))
+    top = draw(st.sampled_from([1, 9]))
+    rows = []
+    for a in range(v):
+        w = [draw(st.integers(1, top)) if (a, b) in arcs else 0 for b in range(v)]
+        w[a] = draw(st.integers(0, top))
+        rows.append([F(x, sum(w)) for x in w])
+    return build_chain(make_graph(v, sorted(arcs)), rows)
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(rational_chains(), st.data())
+def test_minimizer_matches_bitmask_brute_force(ch, data):
+    n = data.draw(st.integers(1, ch.graph.vertex_count))
+    best = _bitmask_minima(ch, n)
+    rep = isoperimetric_constant(ch, n)
+    for mode, got, wit in (("disjoint", rep.iota, rep.witness),
+                           ("partition", rep.iota_tilde, rep.witness_tilde)):
+        assert (got, wit.label_tuple(ch.graph.vertex_count)) == best[mode], mode
+    frep = isoperimetric_constant(_float_twin(ch), n)
+    assert abs(frep.iota - float(best["disjoint"][0])) <= 1e-12
+    assert abs(frep.iota_tilde - float(best["partition"][0])) <= 1e-12
 
 
 def test_cap_enforced():
