@@ -67,11 +67,45 @@ class MarkovChain:
 
     # -- cut functionals ---------------------------------------------------
 
+    def vertex_mask(self, subset):
+        """The bitmask of a set of vertices: bit v stands for vertex v."""
+        mask = 0
+        for v in subset:
+            mask |= 1 << v
+        if mask >> self.graph.vertex_count:
+            raise ValueError("vertex out of range")
+        return mask
+
+    def cut_num(self, mask):
+        """(pi_num, boundary_num) of the nonempty vertex set `mask` on the chain's
+        integer scales: pi(Q) = pi_num / _pi_den, boundary(Q) = boundary_num / _phi_den.
+
+        Exact chains only use it; on a float chain the floats are summed in
+        member order, not in the order of `pi_mass` and `directed_boundary`.
+        """
+        if not mask:
+            raise ValueError("boundary of the empty set is undefined")
+        members = [v for v in range(mask.bit_length()) if mask >> v & 1]
+        pi_num = self._pi_num
+        out_num = self._out_num
+        mass = 0
+        outflow = 0
+        for u in members:
+            row = self._phi_num[u]
+            mass += pi_num[u]
+            outflow += out_num[u] + row[u] - sum(map(row.__getitem__, members))
+        return mass, outflow
+
     def pi_mass(self, subset):
-        return sum(self.pi[v] for v in subset)
+        if not self.exact:
+            return sum(self.pi[v] for v in subset)
+        mask = self.vertex_mask(subset)
+        return Fraction(self.cut_num(mask)[0], self._pi_den) if mask else 0
 
     def directed_boundary(self, subset):
         """Total flow out of `subset`: sum of phi(u,v) over arcs leaving it."""
+        if self.exact:
+            return Fraction(self.cut_num(self.vertex_mask(subset))[1], self._phi_den)
         q = set(subset)
         if not q:
             raise ValueError("boundary of the empty set is undefined")
@@ -95,6 +129,9 @@ class MarkovChain:
 
     def boundary_ratio(self, subset):
         """Normalized outflow boundary(Q)/pi(Q)."""
+        if self.exact:
+            mass, outflow = self.cut_num(self.vertex_mask(subset))
+            return Fraction(outflow * self._pi_den, mass * self._phi_den)
         return self.directed_boundary(subset) / self.pi_mass(subset)
 
     def trace(self):

@@ -8,6 +8,7 @@ errors (bad documents, unmet preconditions, exceeded caps).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -424,10 +425,17 @@ def _render_text(report):
     return "\n".join(lines)
 
 
+@functools.cache
+def _parser():
+    """The parser, built on first use and shared by every later call: parsing
+    keeps no state in it, and `_jobs` reads the CPU count at each parse."""
+    return build_parser()
+
+
 def _parse(argv):
     """(args, None) for a valid command line, else (None, exit code)."""
     try:
-        return build_parser().parse_args(argv), None
+        return _parser().parse_args(argv), None
     except SystemExit as exc:
         return None, (2 if exc.code not in (0, None) else 0)
 

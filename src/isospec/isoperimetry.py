@@ -12,13 +12,22 @@ taken at an anchor, inside a class or at a class's close, exceeds the
 incumbent by more than a relative and absolute margin of 1e-9.  The float
 error of a bound is below 1e-14 relative, so the margin never cuts a family
 that ties the optimum or beats it; the surviving families are compared exactly.
+
+On an exact chain the positive-family layer (random families, the gradient
+objective, level-set rounding) and the cut functionals (family objective, the
+S/T merge bounds) run on the chain's integer scales, pi = _pi_num / _pi_den
+and phi = _phi_num / _phi_den: a function is a vector of integer numerators
+over one common denominator, a vertex set's mass and outflow come from
+MarkovChain.cut_num, ratios are compared by cross-multiplying, and a Fraction
+is built only for a value that is returned.  Float chains keep their float
+arithmetic and summation order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf
+from math import inf, lcm
 
 from .calculus import gradient_norm1
 from .errors import CapExceeded, InvalidFamily
@@ -39,9 +48,18 @@ class IsoperimetricReport:
 
 @dataclass(frozen=True)
 class PositiveOrthonormalFamily:
-    """Nonzero nonnegative functions, pi-unit in L1, with pairwise disjoint supports."""
+    """Nonzero nonnegative functions, pi-unit in L1, with pairwise disjoint supports.
+
+    `random_positive_family` and `characteristic_family` validate the family
+    they build once and keep its form (see `validate_positive_family`) for the
+    chain it was built on; `gamma_objective` and `level_set_rounding` reuse it.
+    A family built by hand is validated on every call.
+    """
 
     functions: tuple
+    # (chain, form), set by _built_family; not a field, so equality, repr and
+    # reports ignore it
+    _form = None
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +96,14 @@ def enumerate_families(vcount, n, mode):
 
 def family_objective(chain, fam):
     """Mean normalized outflow of a subset family."""
-    total = sum(chain.boundary_ratio(cls) for cls in fam.classes)
-    return total / len(fam.classes)
+    if not chain.exact:
+        return sum(chain.boundary_ratio(cls) for cls in fam.classes) / len(fam.classes)
+    num, den = 0, 1        # sum of the classes' boundary_num / pi_num
+    for cls in fam.classes:
+        mass, outflow = chain.cut_num(chain.vertex_mask(cls))
+        num = num * mass + outflow * den
+        den *= mass
+    return Fraction(num * chain._pi_den, den * chain._phi_den * len(fam.classes))
 
 
 # ---------------------------------------------------------------------------
@@ -363,83 +387,137 @@ def classical_cheeger(chain, version="mean"):
 # Functional objective, level-set rounding, random families
 # ---------------------------------------------------------------------------
 
-def _lcm(a, b):
-    return a * b // gcd(a, b)
-
-
 def validate_positive_family(chain, fam):
-    """Exact check of the positive-orthonormal family invariants."""
+    """Exact check of the positive-orthonormal family invariants.
+
+    Returns the family's form: on an exact chain, per function its integer
+    numerators over a common denominator, (nums, den) with f(v) = nums[v]/den;
+    on a float chain the functions themselves.
+    """
+    if not fam.functions:
+        raise InvalidFamily("family has no functions")
     vcount = chain.graph.vertex_count
-    seen = set()
+    if not chain.exact:
+        seen = set()
+        for i, f in enumerate(fam.functions):
+            if len(f) != vcount:
+                raise InvalidFamily(f"function {i} has wrong length")
+            supp = set()
+            for v, x in enumerate(f):
+                if x < 0:
+                    raise InvalidFamily(f"function {i} is negative at vertex {v}")
+                if x != 0:
+                    supp.add(v)
+            if not supp:
+                raise InvalidFamily(f"function {i} is identically zero")
+            if supp & seen:
+                raise InvalidFamily(f"function {i} overlaps an earlier support")
+            seen |= supp
+            norm = sum(f[v] * chain.pi[v] for v in supp)
+            if abs(norm - 1.0) > 1e-10:
+                raise InvalidFamily(f"function {i} has L1 pi-norm {norm!r}, expected 1")
+        return fam.functions
+    built = fam._form[1] if fam._form is not None and fam._form[0] is chain else None
+    pi_num = chain._pi_num
+    unit = chain._pi_den
+    form = []
+    seen = 0
     for i, f in enumerate(fam.functions):
         if len(f) != vcount:
             raise InvalidFamily(f"function {i} has wrong length")
-        supp = set()
-        for v, x in enumerate(f):
+        if built:
+            nums, den = built[i]
+        else:
+            f = [Fraction(x) for x in f]
+            den = lcm(*(x.denominator for x in f))
+            nums = tuple(x.numerator * (den // x.denominator) for x in f)
+        supp = 0
+        mass = 0
+        for v, x in enumerate(nums):
             if x < 0:
                 raise InvalidFamily(f"function {i} is negative at vertex {v}")
-            if x != 0:
-                supp.add(v)
+            if x:
+                supp |= 1 << v
+                mass += x * pi_num[v]
         if not supp:
             raise InvalidFamily(f"function {i} is identically zero")
         if supp & seen:
             raise InvalidFamily(f"function {i} overlaps an earlier support")
         seen |= supp
-        norm = sum(f[v] * chain.pi[v] for v in supp)
-        if chain.exact:
-            if norm != 1:
-                raise InvalidFamily(f"function {i} has L1 pi-norm {norm}, expected 1")
-        elif abs(norm - 1.0) > 1e-10:
-            raise InvalidFamily(f"function {i} has L1 pi-norm {norm!r}, expected 1")
+        if mass != den * unit:
+            norm = Fraction(mass, den * unit)
+            raise InvalidFamily(f"function {i} has L1 pi-norm {norm}, expected 1")
+        form.append((nums, den))
+    return form
+
+
+_ZERO = Fraction(0)
+
+
+def _built_family(chain, functions, form):
+    """A family of `functions` carrying `form`, their form on `chain`, validated once."""
+    fam = PositiveOrthonormalFamily(functions)
+    object.__setattr__(fam, "_form", (chain, form))
+    validate_positive_family(chain, fam)
+    return fam
+
+
+def _family_form(chain, fam):
+    """The form of `fam` on `chain`: the one it was built with, else validated now."""
+    if fam._form is not None and fam._form[0] is chain:
+        return fam._form[1]
+    return validate_positive_family(chain, fam)
 
 
 def gamma_objective(chain, fam):
     """Mean directed-gradient L1 norm of a validated positive-orthonormal family."""
-    validate_positive_family(chain, fam)
-    n = len(fam.functions)
-    if chain.exact:
-        total = Fraction(0)
-        phi_num = chain._phi_num
-        arcs = sorted(chain.graph.sdg_arcs())
-        for f in fam.functions:
-            den = 1
-            for x in f:
-                den = _lcm(den, x.denominator)
-            g = [int(x * den) for x in f]
-            acc = 0
-            for u, v in arcs:
-                d = g[u] - g[v]
-                if d > 0:
-                    acc += d * phi_num[u][v]
-            total += Fraction(acc, den * chain._phi_den)
+    form = _family_form(chain, fam)
+    n = len(form)
+    if not chain.exact:
+        total = 0.0
+        for f in form:
+            total += gradient_norm1(chain, [float(x) for x in f], "directed")
         return total / n
-    total = 0.0
-    for f in fam.functions:
-        total += gradient_norm1(chain, [float(x) for x in f], "directed")
-    return total / n
+    # sum over arcs uv of max(f(u) - f(v), 0) phi(u, v), with phi = phi_num / phi_den
+    flows = [
+        [(v, w) for v, w in enumerate(row) if w and v != u]
+        for u, row in enumerate(chain._phi_num)
+    ]
+    num, den = 0, 1
+    for nums, d in form:
+        acc = 0
+        for u, x in enumerate(nums):
+            if x:
+                for v, w in flows[u]:
+                    if nums[v] < x:
+                        acc += (x - nums[v]) * w
+        num = num * d + acc * den
+        den *= d
+    return Fraction(num, den * chain._phi_den * n)
 
 
 def level_set_rounding(chain, fam):
     """Per function, the superlevel set minimizing boundary/mass; the co-area
-    identity makes the resulting family objective at most the functional one."""
-    validate_positive_family(chain, fam)
+    identity makes the resulting family objective at most the functional one.
+    Ties go to the first minimal level, the one with the largest values."""
+    form = _family_form(chain, fam)
+    exact = chain.exact
     pi_num = chain._pi_num
     phi_num = chain._phi_num
     out_num = chain._out_num
     classes = []
-    for f in fam.functions:
-        order = sorted(range(len(f)), key=lambda v: (f[v], v), reverse=True)
-        order = [v for v in order if f[v] > 0]
+    for f in form:
+        g = f[0] if exact else f
+        order = sorted((v for v in range(len(g)) if g[v] > 0), key=lambda v: (g[v], v), reverse=True)
         members = []
         psum = 0
         osum = 0
         inner = 0
-        best = None
-        best_set = None
+        best_b = best_p = best_set = None
         i = 0
         while i < len(order):
             j = i
-            while j < len(order) and f[order[j]] == f[order[i]]:
+            while j < len(order) and g[order[j]] == g[order[i]]:
                 t = order[j]
                 for m in members:
                     inner += phi_num[t][m] + phi_num[m][t]
@@ -447,12 +525,12 @@ def level_set_rounding(chain, fam):
                 psum += pi_num[t]
                 osum += out_num[t]
                 j += 1
-            if chain.exact:
-                ratio = Fraction((osum - inner) * chain._pi_den, psum * chain._phi_den)
-            else:
-                ratio = ((osum - inner) * chain._pi_den) / (psum * chain._phi_den)
-            if best is None or ratio < best:
-                best = ratio
+            b = osum - inner
+            # boundary / mass is b / psum up to the positive factor pi_den / phi_den
+            if best_set is None or (
+                b * best_p < best_b * psum if exact else b / psum < best_b / best_p
+            ):
+                best_b, best_p = b, psum
                 best_set = tuple(members)
             i = j
         classes.append(best_set)
@@ -461,16 +539,20 @@ def level_set_rounding(chain, fam):
 
 def characteristic_family(chain, fam):
     """The normalized indicator family chi_Q / pi(Q) over a subset family."""
+    vcount = chain.graph.vertex_count
     functions = []
+    form = []
     for cls in fam.classes:
-        mass = chain.pi_mass(cls)
-        functions.append(
-            tuple(
-                (1 / mass if v in cls else Fraction(0) if chain.exact else 0.0)
-                for v in range(chain.graph.vertex_count)
-            )
-        )
-    return PositiveOrthonormalFamily(tuple(functions))
+        if chain.exact:
+            mass = chain.cut_num(chain.vertex_mask(cls))[0]
+            value = Fraction(chain._pi_den, mass)
+            functions.append(tuple(value if v in cls else _ZERO for v in range(vcount)))
+            form.append((tuple(chain._pi_den if v in cls else 0 for v in range(vcount)), mass))
+        else:
+            value = 1 / chain.pi_mass(cls)
+            functions.append(tuple(value if v in cls else 0.0 for v in range(vcount)))
+    functions = tuple(functions)
+    return _built_family(chain, functions, form if chain.exact else functions)
 
 
 def random_positive_family(chain, n, rng, partition=False):
@@ -485,14 +567,28 @@ def random_positive_family(chain, n, rng, partition=False):
     for v in perm[n:]:
         labels[v] = rng.randint(lo, n)
     functions = []
+    form = []
     for k in range(1, n + 1):
-        vals = [Fraction(0)] * vcount
-        for v in range(vcount):
-            if labels[v] == k:
-                vals[v] = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        norm = sum(x * p for x, p in zip(vals, chain.pi))
-        functions.append(tuple(x / norm for x in vals))
-    return PositiveOrthonormalFamily(tuple(functions))
+        drawn = [(v, rng.randint(1, 9), rng.randint(1, 9)) for v in range(vcount) if labels[v] == k]
+        if not chain.exact:
+            vals = [Fraction(0)] * vcount
+            for v, a, b in drawn:
+                vals[v] = Fraction(a, b)
+            norm = sum(x * p for x, p in zip(vals, chain.pi))
+            functions.append(tuple(x / norm for x in vals))
+            continue
+        # the values a/b scaled by L = lcm(b) are integers g, and g / sum(g pi)
+        # is g * pi_den / sum(g pi_num)
+        scale = lcm(*(b for _, _, b in drawn))
+        nums = [0] * vcount
+        mass = 0
+        for v, a, b in drawn:
+            nums[v] = a * (scale // b) * chain._pi_den
+            mass += a * (scale // b) * chain._pi_num[v]
+        functions.append(tuple(Fraction(x, mass) if x else _ZERO for x in nums))
+        form.append((tuple(nums), mass))
+    functions = tuple(functions)
+    return _built_family(chain, functions, form if chain.exact else functions)
 
 
 def random_disjoint_family(chain, n, rng, partition=False):
@@ -556,16 +652,83 @@ def proposition_bounds_check(chain, fam):
 
     Returns per-bound dicts with lhs (the min), rhs, and holds flags.
     """
-    classes = fam.classes
-    n_classes = len(classes)
+    bounds = _merge_bounds if chain.exact else _merge_bounds_float
+    return {
+        name: {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs}
+        for name, (lhs, rhs) in bounds(chain, fam.classes).items()
+    }
+
+
+def _merge_bounds(chain, classes):
+    """{"S": (lhs, rhs), "T": (lhs, rhs)} on an exact chain, T only for n >= 2.
+
+    With r_i the class ratios, R their total, Q* the vertices no class covers,
+    p = pi(Q*) and b = boundary(Q*):
+
+    * S: lhs = (min_j [ratio(Q_j ∪ Q*) - r_j] + R) / n,
+      rhs = ((n-2) b + (1 + (n-2) p) R) / (n (1 + (n-1) p));
+    * T: lhs = (min_{j<k} [ratio(Q_j ∪ Q_k) - r_j - r_k] + R) / m,
+      rhs = b / (m^2 (1 - p)) + (m-1) R / m^2, with m = n - 1.
+
+    Everything is done on the integer scales, so a ratio is boundary_num /
+    pi_num up to the common factor c = pi_den / phi_den; pairs (num, den)
+    with den > 0 are compared by cross-multiplying.
+    """
+    pi_den = chain._pi_den
+    phi_den = chain._phi_den
+    n = len(classes)
+    masks = [chain.vertex_mask(c) for c in classes]
+    cuts = [chain.cut_num(m) for m in masks]     # (pi_num, boundary_num)
+    total_num, total_den = 0, 1                  # R / c
+    for p, b in cuts:
+        total_num, total_den = total_num * p + b * total_den, total_den * p
+    star = (1 << chain.graph.vertex_count) - 1
+    for m in masks:
+        star &= ~m
+    star_p, star_b = chain.cut_num(star) if star else (0, 0)
+
+    def lhs(candidates, count):
+        num, den = candidates[0]
+        for x, y in candidates[1:]:
+            if x * den < num * y:
+                num, den = x, y
+        return Fraction((num * total_den + total_num * den) * pi_den, den * total_den * phi_den * count)
+
+    s_candidates = []
+    for m, (p, b) in zip(masks, cuts):
+        pm, bm = chain.cut_num(m | star)
+        s_candidates.append((bm * p - b * pm, pm * p))
+    s_rhs = Fraction(
+        ((n - 2) * star_b * total_den + (pi_den + (n - 2) * star_p) * total_num) * pi_den,
+        total_den * phi_den * n * (pi_den + (n - 1) * star_p),
+    )
+    out = {"S": (lhs(s_candidates, n), s_rhs)}
+    if n >= 2:
+        m = n - 1
+        t_candidates = []
+        for j in range(n):
+            pj, bj = cuts[j]
+            for k in range(j + 1, n):
+                pk, bk = cuts[k]
+                pm, bm = chain.cut_num(masks[j] | masks[k])
+                t_candidates.append((bm * pj * pk - (bj * pk + bk * pj) * pm, pm * pj * pk))
+        t_rhs = Fraction(
+            (star_b * total_den + (m - 1) * total_num * (pi_den - star_p)) * pi_den,
+            m * m * phi_den * (pi_den - star_p) * total_den,
+        )
+        out["T"] = (lhs(t_candidates, m), t_rhs)
+    return out
+
+
+def _merge_bounds_float(chain, classes):
+    """`_merge_bounds` on a float chain, each candidate summed in full before
+    the minimum is taken: the rounding the float bounds have always had."""
+    n = len(classes)
     ratios = [chain.boundary_ratio(c) for c in classes]
     covered = set().union(*classes)
     q_star = [v for v in range(chain.graph.vertex_count) if v not in covered]
-    pi_star = chain.pi_mass(q_star) if q_star else Fraction(0) if chain.exact else 0.0
-    b_star = chain.directed_boundary(q_star) if q_star else Fraction(0) if chain.exact else 0.0
-
-    out = {}
-    n = n_classes
+    pi_star = chain.pi_mass(q_star) if q_star else 0.0
+    b_star = chain.directed_boundary(q_star) if q_star else 0.0
     s_values = []
     for j in range(n):
         merged = set(classes[j]) | set(q_star)
@@ -574,21 +737,19 @@ def proposition_bounds_check(chain, fam):
     s_rhs = (
         (n - 2) * b_star + (1 + (n - 2) * pi_star) * sum(ratios)
     ) / (n * (1 + (n - 1) * pi_star))
-    out["S"] = {"lhs": min(s_values), "rhs": s_rhs, "holds": min(s_values) <= s_rhs}
-
-    if n_classes >= 2:
-        m = n_classes - 1
+    out = {"S": (min(s_values), s_rhs)}
+    if n >= 2:
+        m = n - 1
         t_values = []
-        for j in range(n_classes):
-            for k in range(j + 1, n_classes):
+        for j in range(n):
+            for k in range(j + 1, n):
                 merged = set(classes[j]) | set(classes[k])
                 val = chain.boundary_ratio(merged) + sum(
-                    ratios[i] for i in range(n_classes) if i not in (j, k)
+                    ratios[i] for i in range(n) if i not in (j, k)
                 )
                 t_values.append(val / m)
-        t_rhs = b_star / (m * m * (1 - pi_star)) + Fraction(m - 1, m * m) * sum(ratios) \
-            if chain.exact else b_star / (m * m * (1 - pi_star)) + (m - 1) / (m * m) * sum(ratios)
-        out["T"] = {"lhs": min(t_values), "rhs": t_rhs, "holds": min(t_values) <= t_rhs}
+        t_rhs = b_star / (m * m * (1 - pi_star)) + (m - 1) / (m * m) * sum(ratios)
+        out["T"] = (min(t_values), t_rhs)
     return out
 
 

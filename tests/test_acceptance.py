@@ -586,24 +586,37 @@ def crit_gen_cheeger(chains, tables, spectra):
 
 
 def build_acceptance_report():
-    """Deterministic payload covering criteria 1..9; wall-clock stays outside."""
+    """Deterministic payload covering criteria 1..9, and its timings: seconds
+    for the iota tables, the spectra and each criterion, plus criterion 1's
+    small corpus.  Wall-clock stays out of the payload."""
+    timings = {}
+
+    def timed(key, build, *args):
+        t0 = time.perf_counter()
+        out = build(*args)
+        timings[key] = time.perf_counter() - t0
+        return out
+
     chains = corpus_chains()
-    tables = {name: isoperimetric_table(chain) for name, chain in chains}
-    spectra = {name: spectrum(chain) for name, chain in chains}
-    c1, small_elapsed = crit_federer_fleming(chains, tables)
+    tables = timed("iota_tables_s", lambda: {
+        name: isoperimetric_table(chain) for name, chain in chains
+    })
+    spectra = timed("spectra_s", lambda: {name: spectrum(chain) for name, chain in chains})
+    c1, small_elapsed = timed("criterion_1_s", crit_federer_fleming, chains, tables)
+    timings["criterion_1_small_corpus_s"] = small_elapsed
     payload = {
         "corpus": [name for name, _ in chains],
         "criterion_1": c1,
-        "criterion_2": crit_structural(chains, tables),
-        "criterion_3": crit_complete_graph_table(),
-        "criterion_4": crit_cheeger(chains, tables, spectra),
-        "criterion_5": crit_courant_hilbert(chains, spectra),
-        "criterion_6": crit_duval_reiner_and_norms(chains),
-        "criterion_7": crit_supergeometric(tables),
-        "criterion_8": crit_comparison(tables),
-        "criterion_9": crit_gen_cheeger(chains, tables, spectra),
+        "criterion_2": timed("criterion_2_s", crit_structural, chains, tables),
+        "criterion_3": timed("criterion_3_s", crit_complete_graph_table),
+        "criterion_4": timed("criterion_4_s", crit_cheeger, chains, tables, spectra),
+        "criterion_5": timed("criterion_5_s", crit_courant_hilbert, chains, spectra),
+        "criterion_6": timed("criterion_6_s", crit_duval_reiner_and_norms, chains),
+        "criterion_7": timed("criterion_7_s", crit_supergeometric, tables),
+        "criterion_8": timed("criterion_8_s", crit_comparison, tables),
+        "criterion_9": timed("criterion_9_s", crit_gen_cheeger, chains, tables, spectra),
     }
-    return payload, {"criterion_1_small_corpus_s": small_elapsed}
+    return payload, timings
 
 
 @pytest.fixture(scope="module")
@@ -612,8 +625,9 @@ def acceptance():
     return {"payload": payload, "timings": timings}
 
 
-def _report(num, label, passed):
-    print(f"\nCRITERION {num}: {'PASS' if passed else 'FAIL'} - {label}")
+def _report(acceptance, num, label, passed):
+    seconds = acceptance["timings"][f"criterion_{num}_s"]
+    print(f"\nCRITERION {num}: {'PASS' if passed else 'FAIL'} - {label} in {seconds:.1f}s")
 
 
 def test_criterion_01_federer_fleming(acceptance):
@@ -623,14 +637,14 @@ def test_criterion_01_federer_fleming(acceptance):
         f"functional objective dominates iota with tight characteristic families "
         f"({crit['families_per_n']} families per n; small corpus {elapsed:.1f}s)"
     )
-    _report(1, label, crit["passed"] and elapsed < SMALL_CORPUS_BUDGET_S)
+    _report(acceptance, 1, label, crit["passed"] and elapsed < SMALL_CORPUS_BUDGET_S)
     assert crit["passed"]
     assert elapsed < SMALL_CORPUS_BUDGET_S
 
 
 def test_criterion_02_structural_inequalities(acceptance):
     crit = acceptance["payload"]["criterion_2"]
-    _report(2, "structural inequalities and chain endpoint, exact", crit["passed"])
+    _report(acceptance, 2, "structural inequalities and chain endpoint, exact", crit["passed"])
     assert crit["passed"], [
         (name, c["findings"]) for name, c in crit["chains"].items() if c["findings"]
     ]
@@ -638,34 +652,34 @@ def test_criterion_02_structural_inequalities(acceptance):
 
 def test_criterion_03_complete_graph_table(acceptance):
     crit = acceptance["payload"]["criterion_3"]
-    _report(3, "complete-graph closed form with literature-variant discrepancy flags",
+    _report(acceptance, 3, "complete-graph closed form with literature-variant discrepancy flags",
             crit["passed"])
     assert crit["passed"]
 
 
 def test_criterion_04_cheeger(acceptance):
     crit = acceptance["payload"]["criterion_4"]
-    _report(4, "mean-spectrum lower bound, classical sandwich, sign-graph corollary",
+    _report(acceptance, 4, "mean-spectrum lower bound, classical sandwich, sign-graph corollary",
             crit["passed"])
     assert crit["passed"]
 
 
 def test_criterion_05_courant_hilbert(acceptance):
     crit = acceptance["payload"]["criterion_5"]
-    _report(5, "nodal count bounds and worked transfer instances", crit["passed"])
+    _report(acceptance, 5, "nodal count bounds and worked transfer instances", crit["passed"])
     assert crit["passed"]
 
 
 def test_criterion_06_duval_reiner(acceptance):
     crit = acceptance["payload"]["criterion_6"]
-    _report(6, "restriction identity, factorization, and norm relations, exact",
+    _report(acceptance, 6, "restriction identity, factorization, and norm relations, exact",
             crit["passed"])
     assert crit["passed"]
 
 
 def test_criterion_07_supergeometric(acceptance):
     crit = acceptance["payload"]["criterion_7"]
-    _report(7, "supergeometric classification (4-vertex exhaustive, K_n, block gap)",
+    _report(acceptance, 7, "supergeometric classification (4-vertex exhaustive, K_n, block gap)",
             crit["passed"])
     assert crit["passed"]
 
@@ -674,8 +688,8 @@ def test_criterion_08_comparison(acceptance):
     crit = acceptance["payload"]["criterion_8"]
     violations = crit["dominance_violations"]
     verified = sum(viol["reverified"]["holds"] for viol in violations)
-    _report(8, "comparison soundness, no-hom verdicts, kernel dominance refuted "
-               f"({verified} exactly re-verified counterexamples)", crit["passed"])
+    _report(acceptance, 8, "comparison soundness, no-hom verdicts, kernel dominance refuted "
+                           f"({verified} exactly re-verified counterexamples)", crit["passed"])
     # Dominance is false for general kernels (README counterexample and the
     # dominance tests in tests/test_homomorphism.py), so the criterion records
     # its refutation: each clause below names its own cause when it fails.
@@ -697,8 +711,8 @@ def test_criterion_08_comparison(acceptance):
 
 def test_criterion_09_gen_cheeger_probe(acceptance):
     crit = acceptance["payload"]["criterion_9"]
-    _report(9, f"generalized bound probed, {crit['findings_recorded']} findings, "
-               f"{len(crit['upper_bound_counterexamples'])} upper-bound counterexamples",
+    _report(acceptance, 9, f"generalized bound probed, {crit['findings_recorded']} findings, "
+                           f"{len(crit['upper_bound_counterexamples'])} upper-bound counterexamples",
             crit["passed"])
     assert crit["passed"]
     assert crit["upper_bound_counterexamples"]  # the conjectured upper bound does fail
@@ -706,7 +720,12 @@ def test_criterion_09_gen_cheeger_probe(acceptance):
 
 def test_criterion_10_determinism(acceptance):
     first = canonical_json(acceptance["payload"])
+    t0 = time.perf_counter()
     payload2, _ = build_acceptance_report()
+    timings = acceptance["timings"]
+    timings["criterion_10_s"] = time.perf_counter() - t0
     second = canonical_json(payload2)
-    _report(10, "full suite rebuilt byte-identically", first == second)
+    _report(acceptance, 10, "full suite rebuilt byte-identically (first build: iota tables "
+            f"{timings['iota_tables_s']:.1f}s, spectra {timings['spectra_s']:.1f}s)",
+            first == second)
     assert first == second

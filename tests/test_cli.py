@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
@@ -152,6 +153,26 @@ def test_json_and_out_flag(docs, tmp_path, capsys, spelling):
     data = json.loads(out.read_text())
     assert data["payload"]["iota"] == "1/2"
     assert "timing_s" not in data
+
+
+def test_consecutive_runs_share_no_state(docs, tmp_path, capsys):
+    """The parser is built once per process; no option of one call may leak
+    into the next."""
+    from isospec.cli import main
+
+    code, report = run(["--float", "iso", docs["c4"], "-n", "2"])
+    assert code == 0 and report["payload"]["iota"] == 0.5
+    assert isinstance(report["payload"]["iota"], float)
+    code, report = run(["iso", docs["c4"], "-n", "2"])
+    assert code == 0 and report["payload"]["iota"] == F(1, 2)
+    assert isinstance(report["payload"]["iota"], F)
+    out = tmp_path / "report.json"
+    assert main(["--json", "--out", str(out), "iso", docs["c4"], "-n", "2"]) == 0
+    assert capsys.readouterr().out == ""
+    out.unlink()
+    assert main(["--json", "iso", docs["c4"], "-n", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["iota"] == "1/2"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

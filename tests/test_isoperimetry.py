@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction
 from itertools import chain as chain_iter, combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isospec.calculus import gradient_norm1
 from isospec.chains import build_chain, lazy_max_degree_kernel, natural_walk
 from isospec.errors import CapExceeded, InvalidFamily
 from isospec.graphs import (
@@ -233,12 +235,12 @@ def _bitmask_minima(ch, n):
 
 
 @st.composite
-def rational_chains(draw):
-    """A random strongly connected digraph on 5-7 vertices (a Hamiltonian
+def rational_chains(draw, lo=5, hi=7):
+    """A random strongly connected digraph on lo..hi vertices (a Hamiltonian
     cycle plus random arcs) with integer weights 1..top per arc and 0..top on
     the diagonal, normalized per row.  With top = 1 the kernel is a natural or
     lazy walk, whose symmetries make ties between families common."""
-    v = draw(st.integers(5, 7))
+    v = draw(st.integers(lo, hi))
     order = draw(st.permutations(range(v)))
     arcs = {(order[i], order[(i + 1) % v]) for i in range(v)}
     others = [(a, b) for a in range(v) for b in range(v) if a != b and (a, b) not in arcs]
@@ -299,22 +301,31 @@ def test_characteristic_family_achieves_iota(c4, k4):
 
 
 def test_gamma_objective_validation(c4):
+    """Every invalid family is refused with the same message by gamma_objective
+    and level_set_rounding, on both backends."""
     ok = characteristic_family(c4, subset_family([{0}, {2}], "disjoint", 4))
     gamma_objective(c4, ok)
-    bad_negative = PositiveOrthonormalFamily(((F(-4), F(0), F(0), F(0)),))
-    with pytest.raises(InvalidFamily):
-        gamma_objective(c4, bad_negative)
-    bad_zero = PositiveOrthonormalFamily(((F(0),) * 4,))
-    with pytest.raises(InvalidFamily):
-        gamma_objective(c4, bad_zero)
-    bad_norm = PositiveOrthonormalFamily(((F(1), F(0), F(0), F(0)),))
-    with pytest.raises(InvalidFamily):
-        gamma_objective(c4, bad_norm)
-    overlap = PositiveOrthonormalFamily(
-        ((F(4), F(0), F(0), F(0)), (F(2), F(2), F(0), F(0)))
-    )
-    with pytest.raises(InvalidFamily):
-        gamma_objective(c4, overlap)
+    level_set_rounding(c4, ok)
+    bad = [
+        (PositiveOrthonormalFamily(()), "family has no functions", None),
+        (PositiveOrthonormalFamily(((F(1), F(1), F(1)),)), "function 0 has wrong length", None),
+        (PositiveOrthonormalFamily(((F(-4), F(0), F(0), F(0)),)),
+         "function 0 is negative at vertex 0", None),
+        (PositiveOrthonormalFamily(((F(0),) * 4,)), "function 0 is identically zero", None),
+        (PositiveOrthonormalFamily(((F(1), F(0), F(0), F(0)),)),
+         "function 0 has L1 pi-norm 1/4, expected 1", "function 0 has L1 pi-norm 0.25, expected 1"),
+        (PositiveOrthonormalFamily(((F(4), F(0), F(0), F(0)), (F(2), F(2), F(0), F(0)))),
+         "function 1 overlaps an earlier support", None),
+        # drawn on another chain: its form there does not carry over to c4
+        (random_positive_family(natural_walk(path_graph(4)), 1, random.Random(5)),
+         "function 0 has L1 pi-norm", None),
+    ]
+    for ch in (c4, _float_twin(c4)):
+        for fam, message, float_message in bad:
+            expected = float_message if float_message and not ch.exact else message
+            for fn in (gamma_objective, level_set_rounding):
+                with pytest.raises(InvalidFamily, match=re.escape(expected)):
+                    fn(ch, fam)
 
 
 def test_random_families_dominate_iota(c4, p3):
@@ -369,6 +380,147 @@ def test_rounding_two_level_example(c4):
     assert family_objective(c4, rounded) <= gamma_objective(c4, fam)
     for cls, f in zip(sorted(rounded.classes, key=min), raw):
         assert cls <= {v for v, x in enumerate(f) if x > 0}
+
+
+def _reference_draw(ch, n, rng, partition):
+    """random_positive_family as a plain Fraction draw: one anchor per class,
+    the rest uniform, values a/b normalized by their pi-weighted sum (a float
+    sum on a float chain)."""
+    v = ch.graph.vertex_count
+    perm = rng.sample(range(v), v)
+    labels = [0] * v
+    for k in range(n):
+        labels[perm[k]] = k + 1
+    for u in perm[n:]:
+        labels[u] = rng.randint(1 if partition else 0, n)
+    functions = []
+    for k in range(1, n + 1):
+        vals = [F(0)] * v
+        for u in range(v):
+            if labels[u] == k:
+                vals[u] = F(rng.randint(1, 9), rng.randint(1, 9))
+        norm = sum(x * p for x, p in zip(vals, ch.pi))
+        functions.append(tuple(x / norm for x in vals))
+    return tuple(functions)
+
+
+def _reference_ratio(ch, cls):
+    """boundary(Q) / pi(Q) from the definitions: on an exact chain the Fraction
+    sums over the arcs leaving Q, on a float chain MarkovChain.boundary_ratio."""
+    if not ch.exact:
+        return ch.boundary_ratio(cls)
+    v = ch.graph.vertex_count
+    out = sum((ch.phi[a][b] for a in cls for b in range(v) if b not in cls), F(0))
+    return out / sum(ch.pi[a] for a in cls)
+
+
+def _reference_gamma(ch, functions):
+    if not ch.exact:
+        total = 0.0
+        for f in functions:
+            total += gradient_norm1(ch, [float(x) for x in f], "directed")
+        return total / len(functions)
+    v = ch.graph.vertex_count
+    total = sum(
+        (max(f[a] - f[b], 0) * ch.phi[a][b] for f in functions for a in range(v) for b in range(v)),
+        F(0),
+    )
+    return total / len(functions)
+
+
+def _reference_rounding(ch, functions):
+    """Per function, the superlevel set {f >= t} of least ratio over the positive
+    values t taken in decreasing order, the first on ties.  On a float chain the
+    ratios are the float sums the rounding has always formed: members added in
+    decreasing value (then decreasing vertex), inner flow pair by pair."""
+    v = ch.graph.vertex_count
+    classes = []
+    for f in functions:
+        best = best_set = None
+        members = []
+        psum = osum = inner = 0
+        for t in sorted({x for x in f if x > 0}, reverse=True):
+            if ch.exact:
+                members = [u for u in range(v) if f[u] >= t]
+                ratio = _reference_ratio(ch, members)
+            else:
+                for u in sorted((u for u in range(v) if f[u] == t), reverse=True):
+                    for m in members:
+                        inner += ch.phi[u][m] + ch.phi[m][u]
+                    members.append(u)
+                    psum += ch.pi[u]
+                    osum += sum(ch.phi[u][b] for b in range(v) if b != u)
+                ratio = (osum - inner) / psum
+            if best is None or ratio < best:
+                best, best_set = ratio, tuple(members)
+        classes.append(best_set)
+    return subset_family(classes, "disjoint", v)
+
+
+def _reference_bounds(ch, classes):
+    """(lhs, rhs) of S and T summed as the definitions read: each candidate
+    family's ratios added in full, then the minimum."""
+    v = ch.graph.vertex_count
+    n = len(classes)
+    ratios = [_reference_ratio(ch, c) for c in classes]
+    star = [u for u in range(v) if not any(u in c for c in classes)]
+    if ch.exact:
+        p = sum((ch.pi[u] for u in star), F(0))
+        b = sum((ch.phi[a][c] for a in star for c in range(v) if c not in star), F(0))
+    elif star:
+        p, b = ch.pi_mass(star), ch.directed_boundary(star)
+    else:
+        p = b = 0.0
+    out = {"S": (
+        min((_reference_ratio(ch, set(classes[j]) | set(star))
+             + sum(ratios[i] for i in range(n) if i != j)) / n for j in range(n)),
+        ((n - 2) * b + (1 + (n - 2) * p) * sum(ratios)) / (n * (1 + (n - 1) * p)),
+    )}
+    if n >= 2:
+        m = n - 1
+        out["T"] = (
+            min((_reference_ratio(ch, set(classes[j]) | set(classes[k]))
+                 + sum(ratios[i] for i in range(n) if i not in (j, k))) / m
+                for j in range(n) for k in range(j + 1, n)),
+            b / (m * m * (1 - p)) + (F(m - 1, m * m) if ch.exact else (m - 1) / (m * m)) * sum(ratios),
+        )
+    return out
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(rational_chains(4, 7), st.data())
+def test_positive_family_layer_matches_reference(ch, data):
+    """The integer positive-family layer and cut functionals against plain
+    Fraction formulas on exact chains, and bit for bit against the float
+    arithmetic on the float twin: drawn functions and RNG state, gamma,
+    level-set rounding (a brute force over superlevel sets), the family
+    objective, and the S and T bounds."""
+    v = ch.graph.vertex_count
+    n = data.draw(st.integers(1, v))
+    partition = data.draw(st.booleans())
+    seed = data.draw(st.integers(0, 2 ** 32))
+    for c in (ch, _float_twin(ch)):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(4):
+            fam = random_positive_family(c, n, rng, partition)
+            want = _reference_draw(c, n, ref_rng, partition)
+            assert repr(fam.functions) == repr(want)
+            assert rng.getstate() == ref_rng.getstate()
+            assert repr(gamma_objective(c, fam)) == repr(_reference_gamma(c, want))
+            rounded = level_set_rounding(c, fam)
+            assert rounded == _reference_rounding(c, want)
+            objective = sum(_reference_ratio(c, cls) for cls in rounded.classes) / n
+            assert repr(family_objective(c, rounded)) == repr(objective)
+            for cls in rounded.classes:
+                assert repr(c.boundary_ratio(cls)) == repr(_reference_ratio(c, cls))
+        for _ in range(4):
+            fam = random_disjoint_family(c, n, rng)
+            got = proposition_bounds_check(c, fam)
+            want = _reference_bounds(c, fam.classes)
+            assert list(got) == list(want)
+            for name, (lhs, rhs) in want.items():
+                assert repr((got[name]["lhs"], got[name]["rhs"])) == repr((lhs, rhs)), name
+                assert got[name]["holds"] == (lhs <= rhs)
 
 
 # ---------------------------------------------------------------------------
