@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import inf, isfinite, lcm
 
 from .errors import KernelError, NoNowherezeroStationary, ConvergenceError
 from .graphs import Graph
@@ -46,21 +46,14 @@ class MarkovChain:
             for u in range(n)
         )
 
-        # Integer-scaled caches drive the enumeration hot paths.
-        if exact:
-            pi_den = _lcm_all(x.denominator for x in p)
-            phi_den = _lcm_all(x.denominator for row in self.phi for x in row)
-            self._pi_den = pi_den
-            self._phi_den = phi_den
-            self._pi_num = tuple(int(x * pi_den) for x in p)
-            self._phi_num = tuple(
-                tuple(int(x * phi_den) for x in row) for row in self.phi
-            )
-        else:
-            self._pi_den = 1
-            self._phi_den = 1
-            self._pi_num = self.pi
-            self._phi_num = self.phi
+        # The cut functionals run on integer scales on both backends: a float is
+        # a dyadic rational, so the scales of a float chain hold its floats exactly.
+        pi_q = [x.as_integer_ratio() for x in p]
+        phi_q = [[x.as_integer_ratio() for x in row] for row in self.phi]
+        self._pi_den = pi_den = lcm(*(d for _, d in pi_q))
+        self._phi_den = phi_den = lcm(*(d for row in phi_q for _, d in row))
+        self._pi_num = tuple(a * (pi_den // d) for a, d in pi_q)
+        self._phi_num = tuple(tuple(a * (phi_den // d) for a, d in row) for row in phi_q)
         self._out_num = tuple(
             sum(self._phi_num[u][v] for v in range(n) if v != u) for u in range(n)
         )
@@ -76,12 +69,15 @@ class MarkovChain:
             raise ValueError("vertex out of range")
         return mask
 
+    def scalar(self, num, den):
+        """num / den for integers num and den > 0: a Fraction on an exact chain,
+        else the correctly rounded float (Python's int division rounds once)."""
+        return Fraction(num, den) if self.exact else num / den
+
     def cut_num(self, mask):
         """(pi_num, boundary_num) of the nonempty vertex set `mask` on the chain's
         integer scales: pi(Q) = pi_num / _pi_den, boundary(Q) = boundary_num / _phi_den.
-
-        Exact chains only use it; on a float chain the floats are summed in
-        member order, not in the order of `pi_mass` and `directed_boundary`.
+        Both are exact on either backend.
         """
         if not mask:
             raise ValueError("boundary of the empty set is undefined")
@@ -97,24 +93,12 @@ class MarkovChain:
         return mass, outflow
 
     def pi_mass(self, subset):
-        if not self.exact:
-            return sum(self.pi[v] for v in subset)
         mask = self.vertex_mask(subset)
-        return Fraction(self.cut_num(mask)[0], self._pi_den) if mask else 0
+        return self.scalar(self.cut_num(mask)[0], self._pi_den) if mask else 0
 
     def directed_boundary(self, subset):
         """Total flow out of `subset`: sum of phi(u,v) over arcs leaving it."""
-        if self.exact:
-            return Fraction(self.cut_num(self.vertex_mask(subset))[1], self._phi_den)
-        q = set(subset)
-        if not q:
-            raise ValueError("boundary of the empty set is undefined")
-        total = 0
-        for u in q:
-            for v in self.graph.out_neighbors(u):
-                if v not in q:
-                    total += self.phi[u][v]
-        return total
+        return self.scalar(self.cut_num(self.vertex_mask(subset))[1], self._phi_den)
 
     def inflow(self, subset):
         q = set(subset)
@@ -129,10 +113,8 @@ class MarkovChain:
 
     def boundary_ratio(self, subset):
         """Normalized outflow boundary(Q)/pi(Q)."""
-        if self.exact:
-            mass, outflow = self.cut_num(self.vertex_mask(subset))
-            return Fraction(outflow * self._pi_den, mass * self._phi_den)
-        return self.directed_boundary(subset) / self.pi_mass(subset)
+        mass, outflow = self.cut_num(self.vertex_mask(subset))
+        return self.scalar(outflow * self._pi_den, mass * self._phi_den)
 
     def trace(self):
         return sum(self.kernel[u][u] for u in range(self.graph.vertex_count))
@@ -140,13 +122,6 @@ class MarkovChain:
     def __repr__(self):
         mode = "exact" if self.exact else "float"
         return f"MarkovChain({self.graph!r}, {mode})"
-
-
-def _lcm_all(values):
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
 
 
 def _support_graph_strongly_connected(graph, kernel):
@@ -166,6 +141,9 @@ def _validate_kernel(graph, kernel, exact):
         raise KernelError(f"kernel must be {n}x{n}")
     one = Fraction(1) if exact else 1.0
     for u in range(n):
+        for v in range(n):
+            if not exact and not isfinite(kernel[u][v]):
+                raise KernelError(f"non-finite kernel entry at ({u},{v})")
         row_sum = sum(kernel[u])
         if exact:
             if row_sum != 1:
@@ -269,8 +247,8 @@ def build_chain(graph, kernel, exact=None, pi=None, uniform_pi_stationary=None):
 
 def _check_stationary(kernel, pi, exact):
     n = len(kernel)
-    if any(p <= 0 for p in pi):
-        raise NoNowherezeroStationary("supplied pi has a nonpositive entry")
+    if not all(0 < p < inf for p in pi):
+        raise NoNowherezeroStationary("supplied pi has a nonpositive or non-finite entry")
     total = sum(pi)
     for v in range(n):
         lhs = sum(pi[u] * kernel[u][v] for u in range(n))

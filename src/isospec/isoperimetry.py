@@ -13,14 +13,16 @@ incumbent by more than a relative and absolute margin of 1e-9.  The float
 error of a bound is below 1e-14 relative, so the margin never cuts a family
 that ties the optimum or beats it; the surviving families are compared exactly.
 
-On an exact chain the positive-family layer (random families, the gradient
+The minimizer, the positive-family layer (random families, the gradient
 objective, level-set rounding) and the cut functionals (family objective, the
-S/T merge bounds) run on the chain's integer scales, pi = _pi_num / _pi_den
-and phi = _phi_num / _phi_den: a function is a vector of integer numerators
-over one common denominator, a vertex set's mass and outflow come from
-MarkovChain.cut_num, ratios are compared by cross-multiplying, and a Fraction
-is built only for a value that is returned.  Float chains keep their float
-arithmetic and summation order.
+S/T merge bounds, the classical Cheeger constants) run on the chain's integer
+scales, pi = _pi_num / _pi_den and phi = _phi_num / _phi_den: a function is a
+vector of integer numerators over one common denominator, a vertex set's mass
+and outflow come from MarkovChain.cut_num, and ratios are compared by
+cross-multiplying.  The scales are exact on both backends (a float is a dyadic
+rational), so every question is decided on the chain's exact values, and a
+returned value is made once by MarkovChain.scalar: a Fraction on an exact
+chain, the correctly rounded float on a float chain.
 """
 
 from __future__ import annotations
@@ -29,9 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, lcm
 
-from .calculus import gradient_norm1
 from .errors import CapExceeded, InvalidFamily
-from .graphs import SubsetFamily, subset_family
+from .graphs import SubsetFamily
 
 DEFAULT_CAP = 14
 
@@ -96,14 +97,12 @@ def enumerate_families(vcount, n, mode):
 
 def family_objective(chain, fam):
     """Mean normalized outflow of a subset family."""
-    if not chain.exact:
-        return sum(chain.boundary_ratio(cls) for cls in fam.classes) / len(fam.classes)
     num, den = 0, 1        # sum of the classes' boundary_num / pi_num
     for cls in fam.classes:
         mass, outflow = chain.cut_num(chain.vertex_mask(cls))
         num = num * mass + outflow * den
         den *= mass
-    return Fraction(num * chain._pi_den, den * chain._phi_den * len(fam.classes))
+    return chain.scalar(num * chain._pi_den, den * chain._phi_den * len(fam.classes))
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +121,9 @@ class CutTable:
     """Cut values of every vertex set of a chain, indexed by bitmask.
 
     pi_num[S] and boundary_num[S] are the mass and the outflow of S on the
-    chain's integer scales (floats on a float chain); ratio[S] is
-    boundary(S)/pi(S), a Fraction on an exact chain; ratio_f is its float copy
-    and lb[S] the least ratio_f over the nonempty subsets of S (lb[0] = inf).
-    last_ratio[S] is ratio[S] as the last class of a partition scores it: the
-    same value on an exact chain; on a float chain the flow inside S is summed
-    pair by pair rather than member by member, the rounding the minimizer has
-    always given that class.
+    chain's integer scales; ratio[S] is boundary(S)/pi(S) as a Fraction, exact
+    on either backend; ratio_f is its correctly rounded float and lb[S] the
+    least ratio_f over the nonempty subsets of S (lb[0] = inf).
     """
 
     vertex_count: int
@@ -137,15 +132,12 @@ class CutTable:
     ratio: list
     ratio_f: list
     lb: list
-    last_ratio: list
 
 
 def cut_table(chain):
-    """The cut table of `chain`: O(2^V) sums plus an O(V 2^V) subset-min transform.
-
-    A set's mass, outflow and inner flow are extended from the set without its
-    largest vertex, so on a float chain every sum runs over the members in
-    increasing order.
+    """The cut table of `chain`: O(2^V) integer sums plus an O(V 2^V) subset-min
+    transform.  A set's mass, outflow and inner flow are extended from the set
+    without its largest vertex.
     """
     vcount = chain.graph.vertex_count
     pi_v = chain._pi_num
@@ -155,7 +147,6 @@ def cut_table(chain):
     pi_num = [0] * size
     out_sum = [0] * size
     inner = [0] * size     # flow between members, both directions
-    pairwise = [0] * size  # the same, one pair at a time (float chains only)
     for h in range(vcount):
         base = 1 << h
         sym = [phi[h][m] + phi[m][h] for m in range(h)]
@@ -169,31 +160,20 @@ def cut_table(chain):
             pi_num[base | t] = pi_num[t] + ph
             out_sum[base | t] = out_sum[t] + oh
             inner[base | t] = inner[t] + cross[t]
-            if not chain.exact:
-                x = pairwise[t]
-                for m in _members(t):
-                    x += sym[m]
-                pairwise[base | t] = x
     boundary_num = [o - i for o, i in zip(out_sum, inner)]
-    if chain.exact:
-        pi_den = chain._pi_den
-        phi_den = chain._phi_den
-        ratio = [None] + [
-            Fraction(boundary_num[s] * pi_den, pi_num[s] * phi_den) for s in range(1, size)
-        ]
-        ratio_f = [inf] + [float(r) for r in ratio[1:]]
-        last_ratio = ratio
-    else:
-        ratio = [None] + [boundary_num[s] / pi_num[s] for s in range(1, size)]
-        ratio_f = [inf] + ratio[1:]
-        last_ratio = [None] + [(out_sum[s] - pairwise[s]) / pi_num[s] for s in range(1, size)]
+    pi_den = chain._pi_den
+    phi_den = chain._phi_den
+    ratio = [None] + [
+        Fraction(boundary_num[s] * pi_den, pi_num[s] * phi_den) for s in range(1, size)
+    ]
+    ratio_f = [inf] + [float(r) for r in ratio[1:]]
     lb = list(ratio_f)
     for v in range(vcount):
         bit = 1 << v
         for s in range(size):
             if s & bit and lb[s ^ bit] < lb[s]:
                 lb[s] = lb[s ^ bit]
-    return CutTable(vcount, pi_num, boundary_num, ratio, ratio_f, lb, last_ratio)
+    return CutTable(vcount, pi_num, boundary_num, ratio, ratio_f, lb)
 
 
 def _minimize(chain, n, mode, table):
@@ -216,15 +196,13 @@ def _minimize(chain, n, mode, table):
     relative and absolute.  Each bound is a float image of a true lower bound,
     off by far less than that margin, so a family that ties the optimum or
     beats it is never cut.  The surviving leaves are scored exactly (ratio sums
-    as Fractions on exact chains; on float chains the float sum in class order)
-    and ties go to the lexicographically smallest canonical labelling.
+    as Fractions) and ties go to the lexicographically smallest canonical
+    labelling; the minimum is rounded once by `chain.scalar`.
     """
     vcount = table.vertex_count
     ratio = table.ratio
     ratio_f = table.ratio_f
     lb = table.lb
-    exact = chain.exact
-    last_ratio_f = ratio_f if exact else table.last_ratio
     partition = mode == "partition"
 
     best_sum = None
@@ -239,7 +217,7 @@ def _minimize(chain, n, mode, table):
         leaves += 1
         if total_f > cutoff:
             return
-        total = sum(ratio[m] for m in classes) if exact else total_f
+        total = sum(ratio[m] for m in classes)
         if best_sum is not None and total > best_sum:
             return
         labels = [0] * vcount
@@ -267,7 +245,7 @@ def _minimize(chain, n, mode, table):
                 break          # a later anchor only shrinks a ∪ rest
             if partition and not after:
                 classes.append(avail)
-                finish(partial + last_ratio_f[avail])
+                finish(partial + ratio_f[avail])
                 classes.pop()
                 break
             undecided = [rest]
@@ -300,7 +278,7 @@ def _minimize(chain, n, mode, table):
 
     pick_class(1, (1 << vcount) - 1, 0.0)
     witness = SubsetFamily(tuple(frozenset(_members(m)) for m in best_classes), mode)
-    return best_sum / n, witness, leaves
+    return chain.scalar(best_sum.numerator, best_sum.denominator * n), witness, leaves
 
 
 def _members(mask):
@@ -363,24 +341,22 @@ def classical_cheeger(chain, version="mean"):
         raise ValueError("need at least two vertices")
     if vcount > 24:
         raise CapExceeded("classical_cheeger enumerates all cuts; graph too large")
-    best = None
-    half = Fraction(1, 2) if chain.exact else 0.5
-    one = Fraction(1) if chain.exact else 1.0
+    pi_den = chain._pi_den
+    phi_den = chain._phi_den
+    best = None            # (num, den) of the least value so far
     for mask in range(1, (1 << vcount) - 1):
-        q = [v for v in range(vcount) if mask >> v & 1]
-        bnd = chain.directed_boundary(q)
-        mass = chain.pi_mass(q)
+        mass, bnd = chain.cut_num(mask)
         if version == "mean":
-            val = bnd / (2 * mass * (one - mass))
+            val = (bnd * pi_den * pi_den, 2 * phi_den * mass * (pi_den - mass))
         elif version == "min":
-            if mass > half:
+            if 2 * mass > pi_den:
                 continue
-            val = bnd / mass
+            val = (bnd * pi_den, phi_den * mass)
         else:
             raise ValueError(f"unknown version {version!r}")
-        if best is None or val < best:
+        if best is None or val[0] * best[1] < best[0] * val[1]:
             best = val
-    return best
+    return chain.scalar(*best)
 
 
 # ---------------------------------------------------------------------------
@@ -390,33 +366,13 @@ def classical_cheeger(chain, version="mean"):
 def validate_positive_family(chain, fam):
     """Exact check of the positive-orthonormal family invariants.
 
-    Returns the family's form: on an exact chain, per function its integer
-    numerators over a common denominator, (nums, den) with f(v) = nums[v]/den;
-    on a float chain the functions themselves.
+    Returns the family's form: per function its integer numerators over a
+    common denominator, (nums, den) with f(v) = nums[v]/den, exact for float
+    values too.  A float chain's family may miss the unit L1 pi-norm by 1e-10.
     """
     if not fam.functions:
         raise InvalidFamily("family has no functions")
     vcount = chain.graph.vertex_count
-    if not chain.exact:
-        seen = set()
-        for i, f in enumerate(fam.functions):
-            if len(f) != vcount:
-                raise InvalidFamily(f"function {i} has wrong length")
-            supp = set()
-            for v, x in enumerate(f):
-                if x < 0:
-                    raise InvalidFamily(f"function {i} is negative at vertex {v}")
-                if x != 0:
-                    supp.add(v)
-            if not supp:
-                raise InvalidFamily(f"function {i} is identically zero")
-            if supp & seen:
-                raise InvalidFamily(f"function {i} overlaps an earlier support")
-            seen |= supp
-            norm = sum(f[v] * chain.pi[v] for v in supp)
-            if abs(norm - 1.0) > 1e-10:
-                raise InvalidFamily(f"function {i} has L1 pi-norm {norm!r}, expected 1")
-        return fam.functions
     built = fam._form[1] if fam._form is not None and fam._form[0] is chain else None
     pi_num = chain._pi_num
     unit = chain._pi_den
@@ -428,7 +384,10 @@ def validate_positive_family(chain, fam):
         if built:
             nums, den = built[i]
         else:
-            f = [Fraction(x) for x in f]
+            try:
+                f = [Fraction(x) for x in f]
+            except (ValueError, OverflowError) as exc:
+                raise InvalidFamily(f"function {i} has a value that is not a finite number") from exc
             den = lcm(*(x.denominator for x in f))
             nums = tuple(x.numerator * (den // x.denominator) for x in f)
         supp = 0
@@ -445,20 +404,20 @@ def validate_positive_family(chain, fam):
             raise InvalidFamily(f"function {i} overlaps an earlier support")
         seen |= supp
         if mass != den * unit:
-            norm = Fraction(mass, den * unit)
-            raise InvalidFamily(f"function {i} has L1 pi-norm {norm}, expected 1")
+            norm = chain.scalar(mass, den * unit)
+            if chain.exact or abs(norm - 1) > 1e-10:
+                raise InvalidFamily(f"function {i} has L1 pi-norm {norm}, expected 1")
         form.append((nums, den))
     return form
 
 
-_ZERO = Fraction(0)
-
-
 def _built_family(chain, functions, form):
-    """A family of `functions` carrying `form`, their form on `chain`, validated once."""
+    """A family of `functions` on `chain`, validated once and carrying its form:
+    `form`, their exact values, on an exact chain; on a float chain the form of
+    the rounded floats, so the family is exactly what its functions hold."""
     fam = PositiveOrthonormalFamily(functions)
-    object.__setattr__(fam, "_form", (chain, form))
-    validate_positive_family(chain, fam)
+    object.__setattr__(fam, "_form", (chain, form if chain.exact else None))
+    object.__setattr__(fam, "_form", (chain, validate_positive_family(chain, fam)))
     return fam
 
 
@@ -473,11 +432,6 @@ def gamma_objective(chain, fam):
     """Mean directed-gradient L1 norm of a validated positive-orthonormal family."""
     form = _family_form(chain, fam)
     n = len(form)
-    if not chain.exact:
-        total = 0.0
-        for f in form:
-            total += gradient_norm1(chain, [float(x) for x in f], "directed")
-        return total / n
     # sum over arcs uv of max(f(u) - f(v), 0) phi(u, v), with phi = phi_num / phi_den
     flows = [
         [(v, w) for v, w in enumerate(row) if w and v != u]
@@ -493,7 +447,7 @@ def gamma_objective(chain, fam):
                         acc += (x - nums[v]) * w
         num = num * d + acc * den
         den *= d
-    return Fraction(num, den * chain._phi_den * n)
+    return chain.scalar(num, den * chain._phi_den * n)
 
 
 def level_set_rounding(chain, fam):
@@ -501,13 +455,11 @@ def level_set_rounding(chain, fam):
     identity makes the resulting family objective at most the functional one.
     Ties go to the first minimal level, the one with the largest values."""
     form = _family_form(chain, fam)
-    exact = chain.exact
     pi_num = chain._pi_num
     phi_num = chain._phi_num
     out_num = chain._out_num
     classes = []
-    for f in form:
-        g = f[0] if exact else f
+    for g, _ in form:
         order = sorted((v for v in range(len(g)) if g[v] > 0), key=lambda v: (g[v], v), reverse=True)
         members = []
         psum = 0
@@ -527,32 +479,28 @@ def level_set_rounding(chain, fam):
                 j += 1
             b = osum - inner
             # boundary / mass is b / psum up to the positive factor pi_den / phi_den
-            if best_set is None or (
-                b * best_p < best_b * psum if exact else b / psum < best_b / best_p
-            ):
+            if best_set is None or b * best_p < best_b * psum:
                 best_b, best_p = b, psum
-                best_set = tuple(members)
+                best_set = frozenset(members)
             i = j
         classes.append(best_set)
-    return subset_family(classes, "disjoint", chain.graph.vertex_count)
+    # the supports are disjoint and each best set is nonempty
+    return SubsetFamily(tuple(sorted(classes, key=min)), "disjoint")
 
 
 def characteristic_family(chain, fam):
     """The normalized indicator family chi_Q / pi(Q) over a subset family."""
     vcount = chain.graph.vertex_count
+    unit = chain._pi_den
+    zero = chain.scalar(0, 1)
     functions = []
     form = []
     for cls in fam.classes:
-        if chain.exact:
-            mass = chain.cut_num(chain.vertex_mask(cls))[0]
-            value = Fraction(chain._pi_den, mass)
-            functions.append(tuple(value if v in cls else _ZERO for v in range(vcount)))
-            form.append((tuple(chain._pi_den if v in cls else 0 for v in range(vcount)), mass))
-        else:
-            value = 1 / chain.pi_mass(cls)
-            functions.append(tuple(value if v in cls else 0.0 for v in range(vcount)))
-    functions = tuple(functions)
-    return _built_family(chain, functions, form if chain.exact else functions)
+        mass = chain.cut_num(chain.vertex_mask(cls))[0]
+        value = chain.scalar(unit, mass)
+        functions.append(tuple(value if v in cls else zero for v in range(vcount)))
+        form.append((tuple(unit if v in cls else 0 for v in range(vcount)), mass))
+    return _built_family(chain, tuple(functions), form)
 
 
 def random_positive_family(chain, n, rng, partition=False):
@@ -566,17 +514,11 @@ def random_positive_family(chain, n, rng, partition=False):
     lo = 1 if partition else 0
     for v in perm[n:]:
         labels[v] = rng.randint(lo, n)
+    zero = chain.scalar(0, 1)
     functions = []
     form = []
     for k in range(1, n + 1):
         drawn = [(v, rng.randint(1, 9), rng.randint(1, 9)) for v in range(vcount) if labels[v] == k]
-        if not chain.exact:
-            vals = [Fraction(0)] * vcount
-            for v, a, b in drawn:
-                vals[v] = Fraction(a, b)
-            norm = sum(x * p for x, p in zip(vals, chain.pi))
-            functions.append(tuple(x / norm for x in vals))
-            continue
         # the values a/b scaled by L = lcm(b) are integers g, and g / sum(g pi)
         # is g * pi_den / sum(g pi_num)
         scale = lcm(*(b for _, _, b in drawn))
@@ -585,10 +527,9 @@ def random_positive_family(chain, n, rng, partition=False):
         for v, a, b in drawn:
             nums[v] = a * (scale // b) * chain._pi_den
             mass += a * (scale // b) * chain._pi_num[v]
-        functions.append(tuple(Fraction(x, mass) if x else _ZERO for x in nums))
+        functions.append(tuple(chain.scalar(x, mass) if x else zero for x in nums))
         form.append((tuple(nums), mass))
-    functions = tuple(functions)
-    return _built_family(chain, functions, form if chain.exact else functions)
+    return _built_family(chain, tuple(functions), form)
 
 
 def random_disjoint_family(chain, n, rng, partition=False):
@@ -600,8 +541,9 @@ def random_disjoint_family(chain, n, rng, partition=False):
     lo = 1 if partition else 0
     for v in perm[n:]:
         labels[v] = rng.randint(lo, n)
-    classes = [[v for v in range(vcount) if labels[v] == k] for k in range(1, n + 1)]
-    return subset_family(classes, "partition" if partition else "disjoint", vcount)
+    # each class holds its anchor perm[k - 1]; in partition mode every label is a class
+    classes = [frozenset(v for v in range(vcount) if labels[v] == k) for k in range(1, n + 1)]
+    return SubsetFamily(tuple(sorted(classes, key=min)), "partition" if partition else "disjoint")
 
 
 # ---------------------------------------------------------------------------
@@ -650,17 +592,19 @@ def proposition_bounds_check(chain, fam):
     """The two weighted-mean bounds for merging a class with the leftover set
     (S, needs a disjoint family) or merging two classes (T, drops one class).
 
-    Returns per-bound dicts with lhs (the min), rhs, and holds flags.
+    Returns per-bound dicts with lhs (the min), rhs, and holds flags; holds is
+    decided on the exact values, lhs and rhs are rounded once on a float chain.
     """
-    bounds = _merge_bounds if chain.exact else _merge_bounds_float
     return {
-        name: {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs}
-        for name, (lhs, rhs) in bounds(chain, fam.classes).items()
+        name: {"lhs": chain.scalar(*lhs), "rhs": chain.scalar(*rhs),
+               "holds": lhs[0] * rhs[1] <= rhs[0] * lhs[1]}
+        for name, (lhs, rhs) in _merge_bounds(chain, fam.classes).items()
     }
 
 
 def _merge_bounds(chain, classes):
-    """{"S": (lhs, rhs), "T": (lhs, rhs)} on an exact chain, T only for n >= 2.
+    """{"S": (lhs, rhs), "T": (lhs, rhs)}, T only for n >= 2, each side an
+    integer pair (num, den) with den > 0.
 
     With r_i the class ratios, R their total, Q* the vertices no class covers,
     p = pi(Q*) and b = boundary(Q*):
@@ -672,7 +616,7 @@ def _merge_bounds(chain, classes):
 
     Everything is done on the integer scales, so a ratio is boundary_num /
     pi_num up to the common factor c = pi_den / phi_den; pairs (num, den)
-    with den > 0 are compared by cross-multiplying.
+    are compared by cross-multiplying.
     """
     pi_den = chain._pi_den
     phi_den = chain._phi_den
@@ -692,13 +636,13 @@ def _merge_bounds(chain, classes):
         for x, y in candidates[1:]:
             if x * den < num * y:
                 num, den = x, y
-        return Fraction((num * total_den + total_num * den) * pi_den, den * total_den * phi_den * count)
+        return (num * total_den + total_num * den) * pi_den, den * total_den * phi_den * count
 
     s_candidates = []
     for m, (p, b) in zip(masks, cuts):
         pm, bm = chain.cut_num(m | star)
         s_candidates.append((bm * p - b * pm, pm * p))
-    s_rhs = Fraction(
+    s_rhs = (
         ((n - 2) * star_b * total_den + (pi_den + (n - 2) * star_p) * total_num) * pi_den,
         total_den * phi_den * n * (pi_den + (n - 1) * star_p),
     )
@@ -712,44 +656,11 @@ def _merge_bounds(chain, classes):
                 pk, bk = cuts[k]
                 pm, bm = chain.cut_num(masks[j] | masks[k])
                 t_candidates.append((bm * pj * pk - (bj * pk + bk * pj) * pm, pm * pj * pk))
-        t_rhs = Fraction(
+        t_rhs = (
             (star_b * total_den + (m - 1) * total_num * (pi_den - star_p)) * pi_den,
             m * m * phi_den * (pi_den - star_p) * total_den,
         )
         out["T"] = (lhs(t_candidates, m), t_rhs)
-    return out
-
-
-def _merge_bounds_float(chain, classes):
-    """`_merge_bounds` on a float chain, each candidate summed in full before
-    the minimum is taken: the rounding the float bounds have always had."""
-    n = len(classes)
-    ratios = [chain.boundary_ratio(c) for c in classes]
-    covered = set().union(*classes)
-    q_star = [v for v in range(chain.graph.vertex_count) if v not in covered]
-    pi_star = chain.pi_mass(q_star) if q_star else 0.0
-    b_star = chain.directed_boundary(q_star) if q_star else 0.0
-    s_values = []
-    for j in range(n):
-        merged = set(classes[j]) | set(q_star)
-        val = chain.boundary_ratio(merged) + sum(ratios[i] for i in range(n) if i != j)
-        s_values.append(val / n)
-    s_rhs = (
-        (n - 2) * b_star + (1 + (n - 2) * pi_star) * sum(ratios)
-    ) / (n * (1 + (n - 1) * pi_star))
-    out = {"S": (min(s_values), s_rhs)}
-    if n >= 2:
-        m = n - 1
-        t_values = []
-        for j in range(n):
-            for k in range(j + 1, n):
-                merged = set(classes[j]) | set(classes[k])
-                val = chain.boundary_ratio(merged) + sum(
-                    ratios[i] for i in range(n) if i not in (j, k)
-                )
-                t_values.append(val / m)
-        t_rhs = b_star / (m * m * (1 - pi_star)) + (m - 1) / (m * m) * sum(ratios)
-        out["T"] = (min(t_values), t_rhs)
     return out
 
 
@@ -779,13 +690,13 @@ def structural_inequalities_check(chain, samples=200, rng=None, reports=None, ca
     for idx, rep in enumerate(reports, start=1):
         gap = rep.iota_tilde - rep.iota
         record("gap_lower", gap >= 0, f"n={idx} gap={gap}")
-        record("gap_upper", gap <= Fraction(1, idx) if chain.exact else gap <= 1 / idx,
-               f"n={idx} gap={gap}")
+        record("gap_upper", gap <= Fraction(1, idx), f"n={idx} gap={gap}")
     if vcount >= 2:
         record("two_geometric", tildes[1] == iotas[1], f"{tildes[1]} != {iotas[1]}")
     for n in range(1, vcount):
-        bound = (1 - Fraction(1, n * n)) if chain.exact else 1 - 1 / (n * n)
-        record("partition_monotone", tildes[n - 1] <= bound * tildes[n],
+        # Fraction(x) keeps the product exact on a float chain too
+        bound = 1 - Fraction(1, n * n)
+        record("partition_monotone", tildes[n - 1] <= bound * Fraction(tildes[n]),
                f"n={n}: {tildes[n-1]} > (1-1/n^2)*{tildes[n]}")
         record("disjoint_monotone", iotas[n - 1] <= iotas[n],
                f"n={n}: {iotas[n-1]} > {iotas[n]}")

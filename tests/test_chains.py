@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,17 @@ def test_explicit_kernel_validation():
     bad_support = [[0, F(1, 2), F(1, 2)], [0, 0, 1], [1, 0, 0]]
     with pytest.raises(KernelError):
         build_chain(g2, bad_support)
+
+
+def test_non_finite_kernel_entry_rejected():
+    g = make_graph(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        K = [[0.0, 0.5, bad], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+        with pytest.raises(KernelError, match=re.escape("non-finite kernel entry at (0,2)")):
+            build_chain(g, K)
+    cycle = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+    with pytest.raises(NoNowherezeroStationary, match="non-finite"):
+        build_chain(make_graph(3, [(0, 1), (1, 2), (2, 0)]), cycle, pi=(float("nan"), 0.5, 0.5))
 
 
 def test_exact_solver_matches_known_values():

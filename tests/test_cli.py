@@ -175,6 +175,19 @@ def test_consecutive_runs_share_no_state(docs, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_non_finite_kernel_entry_rejected(tmp_path):
+    """A NaN kernel entry is refused as a kernel error before any solve."""
+    path = tmp_path / "nan.graph"
+    path.write_text(json.dumps({
+        "vertices": 3,
+        "arcs": [[0, 1], [1, 2], [2, 0], [0, 2]],
+        "kernel": {"type": "explicit", "matrix": [[0, 0.5, float("nan")], [0, 0, 1], [1, 0, 0]]},
+    }))
+    code, report = run(["iso", str(path), "-n", "2"])
+    assert code == 2
+    assert report["error"] == "non-finite kernel entry at (0,2)"
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_rejected(jobs, capsys):
     from isospec.cli import main

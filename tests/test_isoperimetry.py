@@ -6,7 +6,6 @@ from itertools import chain as chain_iter, combinations, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isospec.calculus import gradient_norm1
 from isospec.chains import build_chain, lazy_max_degree_kernel, natural_walk
 from isospec.errors import CapExceeded, InvalidFamily
 from isospec.graphs import (
@@ -316,6 +315,8 @@ def test_gamma_objective_validation(c4):
          "function 0 has L1 pi-norm 1/4, expected 1", "function 0 has L1 pi-norm 0.25, expected 1"),
         (PositiveOrthonormalFamily(((F(4), F(0), F(0), F(0)), (F(2), F(2), F(0), F(0)))),
          "function 1 overlaps an earlier support", None),
+        (PositiveOrthonormalFamily(((float("nan"), F(0), F(0), F(0)),)),
+         "function 0 has a value that is not a finite number", None),
         # drawn on another chain: its form there does not carry over to c4
         (random_positive_family(natural_walk(path_graph(4)), 1, random.Random(5)),
          "function 0 has L1 pi-norm", None),
@@ -382,11 +383,23 @@ def test_rounding_two_level_example(c4):
         assert cls <= {v for v, x in enumerate(f) if x > 0}
 
 
+def _rounded(ch, q):
+    """A value as the chain returns it: exact on an exact chain, else the
+    correctly rounded float of the exact value."""
+    return q if ch.exact else float(q)
+
+
+def _exact_flows(ch):
+    """The exact values of the chain's own pi and phi (a float is a dyadic rational)."""
+    return [F(p) for p in ch.pi], [[F(x) for x in row] for row in ch.phi]
+
+
 def _reference_draw(ch, n, rng, partition):
     """random_positive_family as a plain Fraction draw: one anchor per class,
-    the rest uniform, values a/b normalized by their pi-weighted sum (a float
-    sum on a float chain)."""
+    the rest uniform, values a/b normalized by their exact pi-weighted sum,
+    then rounded once on a float chain."""
     v = ch.graph.vertex_count
+    pi, _ = _exact_flows(ch)
     perm = rng.sample(range(v), v)
     labels = [0] * v
     for k in range(n):
@@ -399,78 +412,58 @@ def _reference_draw(ch, n, rng, partition):
         for u in range(v):
             if labels[u] == k:
                 vals[u] = F(rng.randint(1, 9), rng.randint(1, 9))
-        norm = sum(x * p for x, p in zip(vals, ch.pi))
-        functions.append(tuple(x / norm for x in vals))
+        norm = sum(x * p for x, p in zip(vals, pi))
+        functions.append(tuple(_rounded(ch, x / norm) for x in vals))
     return tuple(functions)
 
 
 def _reference_ratio(ch, cls):
-    """boundary(Q) / pi(Q) from the definitions: on an exact chain the Fraction
-    sums over the arcs leaving Q, on a float chain MarkovChain.boundary_ratio."""
-    if not ch.exact:
-        return ch.boundary_ratio(cls)
+    """boundary(Q) / pi(Q) from the definitions, exact: the Fraction sums over
+    the arcs leaving Q of the chain's own flows."""
     v = ch.graph.vertex_count
-    out = sum((ch.phi[a][b] for a in cls for b in range(v) if b not in cls), F(0))
-    return out / sum(ch.pi[a] for a in cls)
+    pi, phi = _exact_flows(ch)
+    out = sum((phi[a][b] for a in cls for b in range(v) if b not in cls), F(0))
+    return out / sum(pi[a] for a in cls)
 
 
 def _reference_gamma(ch, functions):
-    if not ch.exact:
-        total = 0.0
-        for f in functions:
-            total += gradient_norm1(ch, [float(x) for x in f], "directed")
-        return total / len(functions)
+    """The mean directed gradient norm of the functions' exact values, exact."""
     v = ch.graph.vertex_count
+    _, phi = _exact_flows(ch)
     total = sum(
-        (max(f[a] - f[b], 0) * ch.phi[a][b] for f in functions for a in range(v) for b in range(v)),
+        (max(F(f[a]) - F(f[b]), 0) * phi[a][b]
+         for f in functions for a in range(v) for b in range(v)),
         F(0),
     )
     return total / len(functions)
 
 
 def _reference_rounding(ch, functions):
-    """Per function, the superlevel set {f >= t} of least ratio over the positive
-    values t taken in decreasing order, the first on ties.  On a float chain the
-    ratios are the float sums the rounding has always formed: members added in
-    decreasing value (then decreasing vertex), inner flow pair by pair."""
+    """Per function, the superlevel set {f >= t} of least exact ratio over the
+    positive values t taken in decreasing order, the first on ties."""
     v = ch.graph.vertex_count
     classes = []
     for f in functions:
         best = best_set = None
-        members = []
-        psum = osum = inner = 0
         for t in sorted({x for x in f if x > 0}, reverse=True):
-            if ch.exact:
-                members = [u for u in range(v) if f[u] >= t]
-                ratio = _reference_ratio(ch, members)
-            else:
-                for u in sorted((u for u in range(v) if f[u] == t), reverse=True):
-                    for m in members:
-                        inner += ch.phi[u][m] + ch.phi[m][u]
-                    members.append(u)
-                    psum += ch.pi[u]
-                    osum += sum(ch.phi[u][b] for b in range(v) if b != u)
-                ratio = (osum - inner) / psum
+            members = [u for u in range(v) if f[u] >= t]
+            ratio = _reference_ratio(ch, members)
             if best is None or ratio < best:
-                best, best_set = ratio, tuple(members)
+                best, best_set = ratio, members
         classes.append(best_set)
     return subset_family(classes, "disjoint", v)
 
 
 def _reference_bounds(ch, classes):
-    """(lhs, rhs) of S and T summed as the definitions read: each candidate
+    """Exact (lhs, rhs) of S and T as the definitions read: each candidate
     family's ratios added in full, then the minimum."""
     v = ch.graph.vertex_count
+    pi, phi = _exact_flows(ch)
     n = len(classes)
     ratios = [_reference_ratio(ch, c) for c in classes]
     star = [u for u in range(v) if not any(u in c for c in classes)]
-    if ch.exact:
-        p = sum((ch.pi[u] for u in star), F(0))
-        b = sum((ch.phi[a][c] for a in star for c in range(v) if c not in star), F(0))
-    elif star:
-        p, b = ch.pi_mass(star), ch.directed_boundary(star)
-    else:
-        p = b = 0.0
+    p = sum((pi[u] for u in star), F(0))
+    b = sum((phi[a][c] for a in star for c in range(v) if c not in star), F(0))
     out = {"S": (
         min((_reference_ratio(ch, set(classes[j]) | set(star))
              + sum(ratios[i] for i in range(n) if i != j)) / n for j in range(n)),
@@ -482,7 +475,7 @@ def _reference_bounds(ch, classes):
             min((_reference_ratio(ch, set(classes[j]) | set(classes[k]))
                  + sum(ratios[i] for i in range(n) if i not in (j, k))) / m
                 for j in range(n) for k in range(j + 1, n)),
-            b / (m * m * (1 - p)) + (F(m - 1, m * m) if ch.exact else (m - 1) / (m * m)) * sum(ratios),
+            b / (m * m * (1 - p)) + F(m - 1, m * m) * sum(ratios),
         )
     return out
 
@@ -491,10 +484,11 @@ def _reference_bounds(ch, classes):
 @given(rational_chains(4, 7), st.data())
 def test_positive_family_layer_matches_reference(ch, data):
     """The integer positive-family layer and cut functionals against plain
-    Fraction formulas on exact chains, and bit for bit against the float
-    arithmetic on the float twin: drawn functions and RNG state, gamma,
-    level-set rounding (a brute force over superlevel sets), the family
-    objective, and the S and T bounds."""
+    Fraction formulas over the exact values of each chain's own pi and phi,
+    rounded once, bit for bit on the exact chain and on its float twin: drawn
+    functions and RNG state, gamma, level-set rounding (a brute force over
+    superlevel sets), the family objective, the cut ratios and the S and T
+    bounds, whose verdict is decided exactly."""
     v = ch.graph.vertex_count
     n = data.draw(st.integers(1, v))
     partition = data.draw(st.booleans())
@@ -506,21 +500,35 @@ def test_positive_family_layer_matches_reference(ch, data):
             want = _reference_draw(c, n, ref_rng, partition)
             assert repr(fam.functions) == repr(want)
             assert rng.getstate() == ref_rng.getstate()
-            assert repr(gamma_objective(c, fam)) == repr(_reference_gamma(c, want))
+            assert repr(gamma_objective(c, fam)) == repr(_rounded(c, _reference_gamma(c, want)))
             rounded = level_set_rounding(c, fam)
             assert rounded == _reference_rounding(c, want)
             objective = sum(_reference_ratio(c, cls) for cls in rounded.classes) / n
-            assert repr(family_objective(c, rounded)) == repr(objective)
+            assert repr(family_objective(c, rounded)) == repr(_rounded(c, objective))
             for cls in rounded.classes:
-                assert repr(c.boundary_ratio(cls)) == repr(_reference_ratio(c, cls))
+                assert repr(c.boundary_ratio(cls)) == repr(_rounded(c, _reference_ratio(c, cls)))
         for _ in range(4):
             fam = random_disjoint_family(c, n, rng)
             got = proposition_bounds_check(c, fam)
             want = _reference_bounds(c, fam.classes)
             assert list(got) == list(want)
             for name, (lhs, rhs) in want.items():
-                assert repr((got[name]["lhs"], got[name]["rhs"])) == repr((lhs, rhs)), name
+                assert repr((got[name]["lhs"], got[name]["rhs"])) == repr(
+                    (_rounded(c, lhs), _rounded(c, rhs))), name
                 assert got[name]["holds"] == (lhs <= rhs)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(rational_chains(4, 7))
+def test_float_twin_structural_identities(ch):
+    """On a float chain every iota is the rounded exact value on the chain's own
+    floats, so the identities exact arithmetic guarantees on any nonnegative
+    flows hold bit for bit: iota_1 = iota~_1 = 0 and iota~_n >= iota_n."""
+    table = isoperimetric_table(_float_twin(ch))
+    assert table[0].iota == table[0].iota_tilde == 0.0
+    assert all(isinstance(x, float) for rep in table for x in (rep.iota, rep.iota_tilde))
+    for rep in table:
+        assert rep.iota_tilde >= rep.iota, rep.n
 
 
 # ---------------------------------------------------------------------------
