@@ -115,7 +115,7 @@ def laplacian_apply(chain, f, variant="symmetric"):
 def laplacian_matrix(chain, variant="symmetric"):
     mat = chain.kernel if variant == "directed" else chain.kbar
     n = chain.graph.vertex_count
-    one = Fraction(1) if chain.exact else 1.0
+    one = chain.scalar(1, 1)
     return tuple(
         tuple((one if u == v else 0 * one) - mat[u][v] for v in range(n))
         for u in range(n)
@@ -127,8 +127,7 @@ def grad_adjoint_grad_matrix(chain):
     n = chain.graph.vertex_count
     cols = []
     for u in range(n):
-        e = tuple(Fraction(1) if v == u else Fraction(0) for v in range(n)) if chain.exact \
-            else tuple(1.0 if v == u else 0.0 for v in range(n))
+        e = tuple(chain.scalar(int(v == u), 1) for v in range(n))
         cols.append(divergence(chain, gradient(chain, e, "classical")))
     return tuple(tuple(cols[v][u] for v in range(n)) for u in range(n))
 
@@ -186,7 +185,7 @@ def duval_reiner_sides(chain, f, partition, coeffs, zeta):
     tf_minus = tuple(a - zeta * b for a, b in zip(tf, f))
     rhs = sum(c * c * inner_pi(chain, tf_minus, part) for c, part in zip(coeffs, parts))
     t_parts = [laplacian_apply(chain, part, "symmetric") for part in parts]
-    half = Fraction(1, 2) if chain.exact else 0.5
+    half = chain.scalar(1, 2)
     cross = 0
     for i, ci in enumerate(coeffs):
         for j, cj in enumerate(coeffs):

@@ -7,9 +7,7 @@ from math import inf, isfinite, lcm
 
 from .errors import KernelError, NoNowherezeroStationary, ConvergenceError
 from .graphs import Graph
-
-FLOAT_ROW_TOL = 1e-12
-FLOAT_STATIONARY_TOL = 1e-13
+from .tolerance import INPUT, ROW_SUM, STATIONARY_RESIDUAL, is_exact
 
 
 class MarkovChain:
@@ -139,7 +137,6 @@ def _validate_kernel(graph, kernel, exact):
     n = graph.vertex_count
     if len(kernel) != n or any(len(row) != n for row in kernel):
         raise KernelError(f"kernel must be {n}x{n}")
-    one = Fraction(1) if exact else 1.0
     for u in range(n):
         for v in range(n):
             if not exact and not isfinite(kernel[u][v]):
@@ -148,7 +145,7 @@ def _validate_kernel(graph, kernel, exact):
         if exact:
             if row_sum != 1:
                 raise KernelError(f"row {u} sums to {row_sum}, expected 1")
-        elif abs(row_sum - one) > FLOAT_ROW_TOL:
+        elif abs(row_sum - 1) > ROW_SUM:
             raise KernelError(f"row {u} sums to {row_sum!r}, expected 1")
         for v in range(n):
             if kernel[u][v] < 0:
@@ -199,11 +196,11 @@ def solve_stationary_exact(kernel):
     return tuple(x)
 
 
-def solve_stationary_float(kernel, tol=FLOAT_STATIONARY_TOL, max_iters=500000):
+def solve_stationary_float(kernel):
     """Power iteration on the half-lazy kernel (K + I)/2, which shares pi with K."""
     n = len(kernel)
     x = [1.0 / n] * n
-    for _ in range(max_iters):
+    for _ in range(500000):
         y = [0.0] * n
         for u in range(n):
             xu = x[u]
@@ -214,7 +211,7 @@ def solve_stationary_float(kernel, tol=FLOAT_STATIONARY_TOL, max_iters=500000):
         s = sum(y)
         y = [v / s for v in y]
         resid = sum(abs(sum(y[u] * kernel[u][v] for u in range(n)) - y[v]) for v in range(n))
-        if resid < tol:
+        if resid < STATIONARY_RESIDUAL:
             if any(v <= 0 for v in y):
                 raise NoNowherezeroStationary("stationary distribution has a nonpositive entry")
             return tuple(y)
@@ -226,10 +223,7 @@ def build_chain(graph, kernel, exact=None, pi=None, uniform_pi_stationary=None):
     """Validate a kernel on a graph and construct the chain, solving for pi if needed."""
     kernel = tuple(tuple(row) for row in kernel)
     if exact is None:
-        exact = all(
-            isinstance(x, (Fraction, int)) and not isinstance(x, bool)
-            for row in kernel for x in row
-        )
+        exact = is_exact(*(x for row in kernel for x in row))
     if exact:
         kernel = tuple(tuple(Fraction(x) for x in row) for row in kernel)
     else:
@@ -255,7 +249,7 @@ def _check_stationary(kernel, pi, exact):
         if exact:
             if lhs != pi[v] or total != 1:
                 raise NoNowherezeroStationary("supplied pi is not stationary")
-        elif abs(lhs - pi[v]) > 1e-10 or abs(total - 1) > 1e-10:
+        elif abs(lhs - pi[v]) > INPUT or abs(total - 1) > INPUT:
             raise NoNowherezeroStationary("supplied pi is not stationary")
 
 

@@ -36,6 +36,7 @@ from .nodal import (
 )
 from .reports import SCHEMA_VERSION, canonical_json, digest_file, jsonable
 from .spectral import spectrum
+from .tolerance import at_most
 
 
 def _is_complete_graph(graph):
@@ -127,7 +128,7 @@ def cmd_cheeger(args):
         checks.append(
             {
                 "name": "classical sandwich lambda_2/2 <= iota_2 <= sqrt(2 lambda_2)",
-                "passed": 0.5 * lam2 <= iota2 + 1e-9 and iota2 * iota2 <= 2 * lam2 + 1e-9,
+                "passed": at_most(0.5 * lam2, iota2) and at_most(iota2 * iota2, 2 * lam2),
                 "lambda_2": lam2,
                 "iota_2": iso.iota,
             }
@@ -158,7 +159,7 @@ def cmd_nodal(args):
     checks = [
         {
             "name": f"lambda_kappa <= lambda_{k}",
-            "passed": spec.lambdas[dec.kappa - 1] <= lam + 1e-9,
+            "passed": at_most(spec.lambdas[dec.kappa - 1], lam),
             "kappa": dec.kappa,
         },
         {

@@ -6,8 +6,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, PreconditionUnmet
-from .nodal import CHEEGER_TOL, sign_decomposition
+from .isoperimetry import DEFAULT_CAP, isoperimetric_constant
+from .nodal import excessive_check, sign_decomposition
 from .spectral import spectrum
+from .tolerance import at_most
 
 
 @dataclass(frozen=True)
@@ -158,18 +160,16 @@ def comparison_constants(chain_from, chain_to, witness):
     )
 
 
-def comparison_check(chain_from, chain_to, witness, part="both", cap=14, tol=CHEEGER_TOL):
+def comparison_check(chain_from, chain_to, witness, part="both", cap=DEFAULT_CAP):
     """Transfer bounds along an onto homomorphism.
 
     Part (a), vertex-onto: lambda^G_k <= factor * lambda^H_k and
     iota^G_k <= factor * iota^H_k for k = 1..|V(H)|, with
     factor = (M^sigma / S_sigma) (phibar^M_G pi^M_H) / (phibar^m_H pi^m_G).
     Part (b), edge-onto: lambda^G_{n-m+k} >= factor' * lambda^H_k with the
-    dual factor.  Eigenvalue comparisons carry a float tolerance; the iota
-    comparisons are exact.
+    dual factor.  Each comparison is `tolerance.at_most`: the iota ones are
+    exact on an exact chain, the eigenvalue ones carry the float slack.
     """
-    from .isoperimetry import isoperimetric_constant
-
     cc = comparison_constants(chain_from, chain_to, witness)
     n = chain_from.graph.vertex_count
     m = chain_to.graph.vertex_count
@@ -188,10 +188,10 @@ def comparison_check(chain_from, chain_to, witness, part="both", cap=14, tol=CHE
         rows = []
         ok = True
         for k in range(1, m + 1):
-            lam_ok = spec_from.lambdas[k - 1] <= float(factor) * spec_to.lambdas[k - 1] + tol
+            lam_ok = at_most(spec_from.lambdas[k - 1], float(factor) * spec_to.lambdas[k - 1])
             iota_from = isoperimetric_constant(chain_from, k, "disjoint", cap).iota
             iota_to = isoperimetric_constant(chain_to, k, "disjoint", cap).iota
-            iota_ok = iota_from <= factor * iota_to
+            iota_ok = at_most(iota_from, factor * iota_to)
             ok = ok and lam_ok and iota_ok
             rows.append(
                 {
@@ -219,7 +219,7 @@ def comparison_check(chain_from, chain_to, witness, part="both", cap=14, tol=CHE
         for k in range(1, m + 1):
             lhs = spec_from.lambdas[n - m + k - 1]
             rhs = float(factor) * spec_to.lambdas[k - 1]
-            holds = lhs >= rhs - tol
+            holds = at_most(rhs, lhs)
             ok = ok and holds
             rows.append({"k": k, "lambda_from": lhs, "lambda_to": spec_to.lambdas[k - 1], "holds": holds})
         report["part_b"] = {"factor": factor, "rows": rows, "holds": ok}
@@ -234,7 +234,7 @@ def comparison_check(chain_from, chain_to, witness, part="both", cap=14, tol=CHE
 # Courant-Hilbert style transfer of sign-graph counts
 # ---------------------------------------------------------------------------
 
-def courant_hilbert_check(chain_from, chain_to, witness, f, zeta, theorem, tol=CHEEGER_TOL):
+def courant_hilbert_check(chain_from, chain_to, witness, f, zeta, theorem):
     """Transfer a sign-graph count of a function on the target into an
     eigenvalue index bound on the source.
 
@@ -243,8 +243,6 @@ def courant_hilbert_check(chain_from, chain_to, witness, f, zeta, theorem, tol=C
     theorem "deficient_b" (edge-onto, kappa-(f) != 0, target strongly
     connected): strict bound at index |Comp(P_f union O_f)|.
     """
-    from .nodal import excessive_check
-
     cc = comparison_constants(chain_from, chain_to, witness)
     dec = sign_decomposition(chain_to.graph, f)
     spec_from = spectrum(chain_from)
@@ -259,7 +257,7 @@ def courant_hilbert_check(chain_from, chain_to, witness, f, zeta, theorem, tol=C
             raise PreconditionUnmet("f has no positive sign-graph")
         lhs = spec_from.lambdas[dec.kappa_plus - 1]
         rhs = float(Fraction(cc.m_sup, cc.s_sigma) * cc.tau_from_to) * float(zeta)
-        report.update({"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + tol})
+        report.update({"lhs": lhs, "rhs": rhs, "holds": at_most(lhs, rhs)})
         return report
 
     if theorem in ("deficient_a", "deficient_b"):
@@ -273,7 +271,7 @@ def courant_hilbert_check(chain_from, chain_to, witness, f, zeta, theorem, tol=C
             if dec.kappa_plus == 0:
                 raise PreconditionUnmet("f has no positive sign-graph")
             lhs = spec_from.alphas[dec.kappa_plus - 1]
-            report.update({"lhs": lhs, "rhs": rhs, "holds": lhs >= rhs - tol})
+            report.update({"lhs": lhs, "rhs": rhs, "holds": at_most(rhs, lhs)})
             return report
         if dec.kappa_minus == 0:
             raise PreconditionUnmet("strict variant needs kappa-(f) != 0")
@@ -282,7 +280,7 @@ def courant_hilbert_check(chain_from, chain_to, witness, f, zeta, theorem, tol=C
         comp_count = len(chain_to.graph.undirected_components(dec.positives | dec.zeros))
         lhs = spec_from.alphas[comp_count - 1]
         report.update(
-            {"index": comp_count, "lhs": lhs, "rhs": rhs, "holds": lhs - rhs > tol}
+            {"index": comp_count, "lhs": lhs, "rhs": rhs, "holds": not at_most(lhs, rhs)}
         )
         return report
 

@@ -33,6 +33,7 @@ from math import inf, lcm
 
 from .errors import CapExceeded, InvalidFamily
 from .graphs import SubsetFamily
+from .tolerance import INPUT, PRUNE_MARGIN, at_most
 
 DEFAULT_CAP = 14
 
@@ -108,13 +109,6 @@ def family_objective(chain, fam):
 # ---------------------------------------------------------------------------
 # Exact minimization
 # ---------------------------------------------------------------------------
-
-# Relative and absolute slack of the float pruning filter.  A bound is a float
-# sum of at most n + 1 correctly rounded nonnegative terms, so its relative
-# error is below (n + 2) * 2**-53, under 1e-14 for any n a 2^V table can
-# hold; 1e-9 leaves five orders of magnitude between that error and a prune.
-PRUNE_MARGIN = 1e-9
-
 
 @dataclass(frozen=True)
 class CutTable:
@@ -368,7 +362,7 @@ def validate_positive_family(chain, fam):
 
     Returns the family's form: per function its integer numerators over a
     common denominator, (nums, den) with f(v) = nums[v]/den, exact for float
-    values too.  A float chain's family may miss the unit L1 pi-norm by 1e-10.
+    values too.  A float chain's family may miss the unit L1 pi-norm by INPUT.
     """
     if not fam.functions:
         raise InvalidFamily("family has no functions")
@@ -405,7 +399,7 @@ def validate_positive_family(chain, fam):
         seen |= supp
         if mass != den * unit:
             norm = chain.scalar(mass, den * unit)
-            if chain.exact or abs(norm - 1) > 1e-10:
+            if chain.exact or abs(norm - 1) > INPUT:
                 raise InvalidFamily(f"function {i} has L1 pi-norm {norm}, expected 1")
         form.append((nums, den))
     return form
@@ -592,14 +586,16 @@ def proposition_bounds_check(chain, fam):
     """The two weighted-mean bounds for merging a class with the leftover set
     (S, needs a disjoint family) or merging two classes (T, drops one class).
 
-    Returns per-bound dicts with lhs (the min), rhs, and holds flags; holds is
-    decided on the exact values, lhs and rhs are rounded once on a float chain.
+    Returns per-bound dicts with lhs (the min), rhs, and holds flags; lhs and
+    rhs are rounded once on a float chain, and holds is `at_most(lhs, rhs)`:
+    exact on an exact chain, with float slack on a float chain, whose pi
+    conserves flow only up to the power iteration's residual.
     """
-    return {
-        name: {"lhs": chain.scalar(*lhs), "rhs": chain.scalar(*rhs),
-               "holds": lhs[0] * rhs[1] <= rhs[0] * lhs[1]}
-        for name, (lhs, rhs) in _merge_bounds(chain, fam.classes).items()
-    }
+    out = {}
+    for name, (lhs, rhs) in _merge_bounds(chain, fam.classes).items():
+        lhs, rhs = chain.scalar(*lhs), chain.scalar(*rhs)
+        out[name] = {"lhs": lhs, "rhs": rhs, "holds": at_most(lhs, rhs)}
+    return out
 
 
 def _merge_bounds(chain, classes):
@@ -665,13 +661,15 @@ def _merge_bounds(chain, classes):
 
 
 def structural_inequalities_check(chain, samples=200, rng=None, reports=None, cap=DEFAULT_CAP):
-    """Exact verification of the structural inequalities tying iota and iota~ together.
+    """Verification of the structural inequalities tying iota and iota~ together.
 
     Checks, per n: 0 <= iota~_n - iota_n <= 1/n, iota~_2 = iota_2, the
     (1 - 1/n^2) partition monotonicity, disjoint monotonicity, the full chain
     0 = iota_1 <= ... <= iota_V with endpoint 1 - trace(K)/V, plus the S/T
-    weighted-mean bounds on `samples` random disjoint families per n.
-    Violations are returned as findings, not raised.
+    weighted-mean bounds on `samples` random disjoint families per n.  Each
+    comparison is `tolerance.at_most` (an equality is one both ways): exact on
+    an exact chain, with float slack on a float chain.  Violations are returned
+    as findings, not raised.
     """
     import random as _random
 
@@ -685,24 +683,27 @@ def structural_inequalities_check(chain, samples=200, rng=None, reports=None, ca
         if not ok:
             findings.append({"check": name, "detail": detail})
 
+    def equal(a, b):
+        return at_most(a, b) and at_most(b, a)
+
     iotas = [rep.iota for rep in reports]
     tildes = [rep.iota_tilde for rep in reports]
     for idx, rep in enumerate(reports, start=1):
         gap = rep.iota_tilde - rep.iota
-        record("gap_lower", gap >= 0, f"n={idx} gap={gap}")
-        record("gap_upper", gap <= Fraction(1, idx), f"n={idx} gap={gap}")
+        record("gap_lower", at_most(0, gap), f"n={idx} gap={gap}")
+        record("gap_upper", at_most(gap, Fraction(1, idx)), f"n={idx} gap={gap}")
     if vcount >= 2:
-        record("two_geometric", tildes[1] == iotas[1], f"{tildes[1]} != {iotas[1]}")
+        record("two_geometric", equal(tildes[1], iotas[1]), f"{tildes[1]} != {iotas[1]}")
     for n in range(1, vcount):
         # Fraction(x) keeps the product exact on a float chain too
         bound = 1 - Fraction(1, n * n)
-        record("partition_monotone", tildes[n - 1] <= bound * Fraction(tildes[n]),
+        record("partition_monotone", at_most(tildes[n - 1], bound * Fraction(tildes[n])),
                f"n={n}: {tildes[n-1]} > (1-1/n^2)*{tildes[n]}")
-        record("disjoint_monotone", iotas[n - 1] <= iotas[n],
+        record("disjoint_monotone", at_most(iotas[n - 1], iotas[n]),
                f"n={n}: {iotas[n-1]} > {iotas[n]}")
-    record("chain_start", iotas[0] == 0, f"iota_1={iotas[0]}")
+    record("chain_start", equal(iotas[0], 0), f"iota_1={iotas[0]}")
     endpoint = 1 - chain.trace() / vcount
-    record("chain_endpoint", iotas[-1] == endpoint,
+    record("chain_endpoint", equal(iotas[-1], endpoint),
            f"iota_{vcount}={iotas[-1]} expected {endpoint}")
 
     prop_checked = 0

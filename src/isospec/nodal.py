@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .calculus import (
     gradient_norm2_squared,
@@ -12,21 +11,8 @@ from .calculus import (
     restrict,
 )
 from .errors import PreconditionUnmet
-
-FLOAT_SIGN_TOL = 1e-10
-CHEEGER_TOL = 1e-9
-
-
-def _is_exact(f):
-    return all(isinstance(x, (Fraction, int)) and not isinstance(x, bool) for x in f)
-
-
-def _thresholded(f, zero_tol):
-    if zero_tol is None:
-        zero_tol = 0 if _is_exact(f) else FLOAT_SIGN_TOL
-    if zero_tol == 0:
-        return list(f)
-    return [0 if abs(x) <= zero_tol else x for x in f]
+from .isoperimetry import DEFAULT_CAP, isoperimetric_constant
+from .tolerance import at_most, signed
 
 
 @dataclass(frozen=True)
@@ -50,9 +36,9 @@ class SignDecomposition:
         return self.kappa_plus + self.kappa_minus
 
 
-def sign_decomposition(graph, f, zero_tol=None):
+def sign_decomposition(graph, f):
     """Strict-sign classification with components taken in the undirected view."""
-    vals = _thresholded(f, zero_tol)
+    vals = signed(f)
     pos = frozenset(v for v, x in enumerate(vals) if x > 0)
     neg = frozenset(v for v, x in enumerate(vals) if x < 0)
     zer = frozenset(range(len(vals))) - pos - neg
@@ -65,7 +51,7 @@ def sign_decomposition(graph, f, zero_tol=None):
     )
 
 
-def excessive_check(chain, f, zeta, operator="Delta", direction="excessive", tol=None):
+def excessive_check(chain, f, zeta, operator="Delta", direction="excessive"):
     """Coordinatewise test of (op f) <= zeta f (excessive) or >= (deficient)."""
     if operator == "K":
         out = tuple(
@@ -81,17 +67,14 @@ def excessive_check(chain, f, zeta, operator="Delta", direction="excessive", tol
         out = laplacian_apply(chain, f, "symmetric")
     else:
         raise ValueError(f"unknown operator {operator!r}")
-    if tol is None:
-        tol = 0 if (chain.exact and _is_exact(f) and isinstance(zeta, (Fraction, int))) \
-            else FLOAT_SIGN_TOL
     if direction == "excessive":
-        return all(o <= zeta * x + tol for o, x in zip(out, f))
+        return all(at_most(o, zeta * x) for o, x in zip(out, f))
     if direction == "deficient":
-        return all(o >= zeta * x - tol for o, x in zip(out, f))
+        return all(at_most(zeta * x, o) for o, x in zip(out, f))
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def bipolar_part_check(graph, f, Q, zero_tol=None):
+def bipolar_part_check(graph, f, Q):
     """Classify Q as a nonnegative/nonpositive bipolar part of f, or neither.
 
     Nonnegative: f >= 0 on Q and f(u) f(v) <= 0 across every arc of the cut in
@@ -100,7 +83,7 @@ def bipolar_part_check(graph, f, Q, zero_tol=None):
     q = set(Q)
     if not q:
         raise ValueError("bipolar part must be nonempty")
-    vals = _thresholded(f, zero_tol)
+    vals = signed(f)
     cut_ok = True
     for u, v in graph.arcs:
         if (u in q) != (v in q):
@@ -126,28 +109,26 @@ def rayleigh_quotient(chain, f):
     return gradient_norm2_squared(chain, f, "symmetric") / denom
 
 
-def duval_reiner_bound(chain, f, zeta, Q, direction="excessive", tol=None):
+def duval_reiner_bound(chain, f, zeta, Q, direction="excessive"):
     """Validate the hypotheses and check zeta >= Rayleigh(f restricted to Q).
 
     direction "excessive" pairs with a nonnegative bipolar part, "deficient"
     with a nonpositive one.
     """
-    if not excessive_check(chain, f, zeta, "Delta", direction, tol):
+    if not excessive_check(chain, f, zeta, "Delta", direction):
         raise PreconditionUnmet(f"f is not {zeta}-{direction} for the symmetric Laplacian")
     expected = "nonnegative" if direction == "excessive" else "nonpositive"
-    got = bipolar_part_check(chain.graph, f, Q, tol)
+    got = bipolar_part_check(chain.graph, f, Q)
     if got != expected:
         raise PreconditionUnmet(f"Q is classified {got}, needed {expected}")
     g = restrict(f, Q)
     if all(x == 0 for x in g):
         raise PreconditionUnmet("f vanishes on Q")
     quotient = rayleigh_quotient(chain, g)
-    slack = 0 if (chain.exact and _is_exact(f) and isinstance(zeta, (Fraction, int))) \
-        else CHEEGER_TOL
     return {
         "zeta": zeta,
         "rayleigh": quotient,
-        "holds": zeta + slack >= quotient,
+        "holds": at_most(quotient, zeta),
     }
 
 
@@ -155,11 +136,11 @@ def duval_reiner_bound(chain, f, zeta, Q, direction="excessive", tol=None):
 # Cheeger bounds
 # ---------------------------------------------------------------------------
 
-def cheeger_lower(spectrum_report, iso_report, tol=CHEEGER_TOL):
+def cheeger_lower(spectrum_report, iso_report):
     """mean_lambda_n <= iota_n, up to float tolerance on the eigenvalue side."""
     n = iso_report.n
     mean = spectrum_report.mean_lambda(n)
-    return mean <= float(iso_report.iota) + tol
+    return at_most(mean, float(iso_report.iota))
 
 
 @dataclass(frozen=True)
@@ -180,7 +161,7 @@ class CompatibleSet:
         return len(self.zetas)
 
 
-def validate_compatible_set(chain, cs, tol=None):
+def validate_compatible_set(chain, cs):
     """Return the list of violated conditions (empty when the set is valid)."""
     problems = []
     if not (len(cs.zetas) == len(cs.functions) == len(cs.parts) == len(cs.polarity)):
@@ -196,17 +177,17 @@ def validate_compatible_set(chain, cs, tol=None):
             problems.append(f"entry {i}: part overlaps an earlier part")
         seen |= set(part)
         direction = "excessive" if pol == "nonnegative" else "deficient"
-        if not excessive_check(chain, f, zeta, "Delta", direction, tol):
+        if not excessive_check(chain, f, zeta, "Delta", direction):
             problems.append(f"entry {i}: function is not {zeta}-{direction}")
-        if bipolar_part_check(chain.graph, f, part, tol) != pol:
+        if bipolar_part_check(chain.graph, f, part) != pol:
             problems.append(f"entry {i}: part is not a {pol} bipolar part")
         g = restrict(f, part)
-        if all(x == 0 for x in _thresholded(g, tol)):
+        if all(x == 0 for x in signed(g)):
             problems.append(f"entry {i}: function vanishes on its part")
     return problems
 
 
-def cheeger_upper(chain, cs, iso_report, tol=CHEEGER_TOL):
+def cheeger_upper(chain, cs, iso_report):
     """2 * mean(zetas) >= iota_n^2 for a valid compatible set of size n."""
     problems = validate_compatible_set(chain, cs)
     if problems:
@@ -220,15 +201,15 @@ def cheeger_upper(chain, cs, iso_report, tol=CHEEGER_TOL):
     return {
         "mean_zeta": mean_zeta,
         "iota": iso_report.iota,
-        "holds": 2.0 * mean_zeta >= iota * iota - tol,
+        "holds": at_most(iota * iota, 2.0 * mean_zeta),
     }
 
 
-def eigenfunction_compatible_set(chain, spectrum_report, k, zero_tol=None):
+def eigenfunction_compatible_set(chain, spectrum_report, k):
     """All strong sign-graphs of the k-th eigenfunction paired with its eigenvalue."""
     f = spectrum_report.eigenbasis[k - 1]
     lam = spectrum_report.lambdas[k - 1]
-    dec = sign_decomposition(chain.graph, f, zero_tol)
+    dec = sign_decomposition(chain.graph, f)
     parts = []
     polarity = []
     for comp in dec.positive_components:
@@ -246,7 +227,7 @@ def eigenfunction_compatible_set(chain, spectrum_report, k, zero_tol=None):
     )
 
 
-def compatible_set_search(chain, spectrum_report, n, zero_tol=None):
+def compatible_set_search(chain, spectrum_report, n):
     """Backtracking choice of one strong sign-graph per eigenfunction f_2..f_n.
 
     Parts must be pairwise disjoint; candidates per function are the positive
@@ -258,7 +239,7 @@ def compatible_set_search(chain, spectrum_report, n, zero_tol=None):
     candidates = []
     for k in range(2, n + 1):
         f = spectrum_report.eigenbasis[k - 1]
-        dec = sign_decomposition(chain.graph, f, zero_tol)
+        dec = sign_decomposition(chain.graph, f)
         opts = [(comp, "nonnegative") for comp in dec.positive_components]
         opts += [(comp, "nonpositive") for comp in dec.negative_components]
         if not opts:
@@ -289,14 +270,13 @@ def compatible_set_search(chain, spectrum_report, n, zero_tol=None):
     )
 
 
-def gen_cheeger_probe(chain, n, iso_report=None, spectrum_report=None, cap=14):
+def gen_cheeger_probe(chain, n, iso_report=None, spectrum_report=None, cap=DEFAULT_CAP):
     """Evaluate (never assert) the conjectured two-sided bound
     ((n-1)/2n) iota_n^2 <= mean_lambda_n <= ((n-1)/n) iota_n.
 
     The hypothesis is a successful sign-graph selection for f_2..f_n; when it
     fails the finding records "hypothesis unmet" and no bounds are evaluated.
     """
-    from .isoperimetry import isoperimetric_constant
     from .spectral import spectrum as _spectrum
 
     if spectrum_report is None:
@@ -319,9 +299,9 @@ def gen_cheeger_probe(chain, n, iso_report=None, spectrum_report=None, cap=14):
     finding.update(
         {
             "lower_bound": lower,
-            "lower_holds": lower <= mean + CHEEGER_TOL,
+            "lower_holds": at_most(lower, mean),
             "upper_bound": upper,
-            "upper_holds": mean <= upper + CHEEGER_TOL,
+            "upper_holds": at_most(mean, upper),
         }
     )
     return finding

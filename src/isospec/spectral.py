@@ -6,19 +6,17 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, FrameNotOrthonormal
-
-OFFDIAG_TARGET = 1e-12
-DEGENERACY_TOL = 1e-8
-SIGN_TOL = 1e-12
+from .tolerance import CLUSTER, INPUT, JACOBI_OFFDIAG, ZERO
 
 
-def jacobi_eigh(matrix, tol=OFFDIAG_TARGET, max_sweeps=100):
+def jacobi_eigh(matrix, max_sweeps=100):
     """Cyclic Jacobi diagonalization of a symmetric float matrix.
 
     Returns (eigenvalues, eigenvectors, residual) with the eigenvectors taken
     from the columns of the accumulated rotation, unsorted.  Deterministic for
     a fixed input.  Raises ConvergenceError carrying the residual if the
-    off-diagonal Frobenius norm does not fall below tol within max_sweeps.
+    off-diagonal Frobenius norm does not fall below JACOBI_OFFDIAG within
+    max_sweeps.
     """
     n = len(matrix)
     a = [list(row) for row in matrix]
@@ -29,7 +27,7 @@ def jacobi_eigh(matrix, tol=OFFDIAG_TARGET, max_sweeps=100):
 
     resid = offdiag()
     for _ in range(max_sweeps):
-        if resid < tol:
+        if resid < JACOBI_OFFDIAG:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -57,7 +55,7 @@ def jacobi_eigh(matrix, tol=OFFDIAG_TARGET, max_sweeps=100):
                     v[i][q] = s * vip + c * viq
         resid = offdiag()
     else:
-        if resid >= tol:
+        if resid >= JACOBI_OFFDIAG:
             raise ConvergenceError(
                 f"Jacobi sweeps did not converge (residual {resid:.3e})", residual=resid
             )
@@ -68,7 +66,7 @@ def jacobi_eigh(matrix, tol=OFFDIAG_TARGET, max_sweeps=100):
 
 def _sign_normalize(vec):
     for x in vec:
-        if abs(x) > SIGN_TOL:
+        if abs(x) > ZERO:
             if x < 0:
                 return [-y for y in vec]
             return list(vec)
@@ -96,7 +94,7 @@ class SpectrumReport:
         return self.mean_lambdas[n - 1]
 
 
-def spectrum(chain, tol=OFFDIAG_TARGET, max_sweeps=100):
+def spectrum(chain):
     """Diagonalize Delta via the similarity Pi^(1/2) Delta Pi^(-1/2) and Jacobi sweeps."""
     n = chain.graph.vertex_count
     pi = [float(p) for p in chain.pi]
@@ -107,7 +105,7 @@ def spectrum(chain, tol=OFFDIAG_TARGET, max_sweeps=100):
         for v in range(u + 1, n):
             val = -float(chain.phibar[u][v]) / (sqrt_pi[u] * sqrt_pi[v])
             s[u][v] = s[v][u] = val
-    eigvals, eigvecs, resid = jacobi_eigh(s, tol=tol, max_sweeps=max_sweeps)
+    eigvals, eigvecs, resid = jacobi_eigh(s)
 
     basis = []
     for vec in eigvecs:
@@ -125,8 +123,8 @@ def spectrum(chain, tol=OFFDIAG_TARGET, max_sweeps=100):
         acc += lam
         means.append(acc / k)
     degenerate = tuple(
-        (k > 0 and abs(lambdas[k] - lambdas[k - 1]) < DEGENERACY_TOL)
-        or (k + 1 < n and abs(lambdas[k + 1] - lambdas[k]) < DEGENERACY_TOL)
+        (k > 0 and abs(lambdas[k] - lambdas[k - 1]) < CLUSTER)
+        or (k + 1 < n and abs(lambdas[k + 1] - lambdas[k]) < CLUSTER)
         for k in range(n)
     )
     return SpectrumReport(
@@ -149,7 +147,7 @@ def apply_delta_float(chain, f):
     ]
 
 
-def ky_fan_value(report, frame, ortho_tol=1e-10):
+def ky_fan_value(report, frame):
     """Mean Rayleigh trace (1/n) sum_i <Delta f_i, f_i>_pi over a pi-orthonormal frame."""
     chain = report.chain
     pi = [float(p) for p in chain.pi]
@@ -158,7 +156,7 @@ def ky_fan_value(report, frame, ortho_tol=1e-10):
         for j in range(i, len(frame)):
             val = sum(a * b * p for a, b, p in zip(fi, frame[j], pi))
             target = 1.0 if i == j else 0.0
-            if abs(val - target) > ortho_tol:
+            if abs(val - target) > INPUT:
                 raise FrameNotOrthonormal(
                     f"<f_{i}, f_{j}>_pi = {val!r}, expected {target}"
                 )
@@ -169,8 +167,8 @@ def ky_fan_value(report, frame, ortho_tol=1e-10):
     return total / len(frame)
 
 
-def symmetric_eigenvalues(matrix, tol=OFFDIAG_TARGET, max_sweeps=100):
+def symmetric_eigenvalues(matrix):
     """Sorted eigenvalues of a plain symmetric matrix (entries coerced to float)."""
     mat = [[float(x) for x in row] for row in matrix]
-    eigvals, _, _ = jacobi_eigh(mat, tol=tol, max_sweeps=max_sweeps)
+    eigvals, _, _ = jacobi_eigh(mat)
     return tuple(sorted(eigvals))

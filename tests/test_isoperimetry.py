@@ -37,6 +37,7 @@ from isospec.isoperimetry import (
     structural_inequalities_check,
     supergeometric_classify,
 )
+from isospec.tolerance import at_most
 
 F = Fraction
 
@@ -488,7 +489,9 @@ def test_positive_family_layer_matches_reference(ch, data):
     rounded once, bit for bit on the exact chain and on its float twin: drawn
     functions and RNG state, gamma, level-set rounding (a brute force over
     superlevel sets), the family objective, the cut ratios and the S and T
-    bounds, whose verdict is decided exactly."""
+    bounds.  Their verdict is exact on the exact chain and `at_most` of the
+    rounded sides on the float twin, and the identities S at n = 1 and T at
+    n = 2 hold on both."""
     v = ch.graph.vertex_count
     n = data.draw(st.integers(1, v))
     partition = data.draw(st.booleans())
@@ -515,7 +518,12 @@ def test_positive_family_layer_matches_reference(ch, data):
             for name, (lhs, rhs) in want.items():
                 assert repr((got[name]["lhs"], got[name]["rhs"])) == repr(
                     (_rounded(c, lhs), _rounded(c, rhs))), name
-                assert got[name]["holds"] == (lhs <= rhs)
+                if c.exact:
+                    assert got[name]["holds"] == (lhs <= rhs)
+                else:
+                    assert got[name]["holds"] == at_most(got[name]["lhs"], got[name]["rhs"])
+            if n <= 2:
+                assert got["S" if n == 1 else "T"]["holds"], (c, n)
 
 
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
@@ -523,12 +531,16 @@ def test_positive_family_layer_matches_reference(ch, data):
 def test_float_twin_structural_identities(ch):
     """On a float chain every iota is the rounded exact value on the chain's own
     floats, so the identities exact arithmetic guarantees on any nonnegative
-    flows hold bit for bit: iota_1 = iota~_1 = 0 and iota~_n >= iota_n."""
-    table = isoperimetric_table(_float_twin(ch))
+    flows hold bit for bit: iota_1 = iota~_1 = 0 and iota~_n >= iota_n.  The
+    structural suite, whose float verdicts carry the float slack, passes."""
+    twin = _float_twin(ch)
+    table = isoperimetric_table(twin)
     assert table[0].iota == table[0].iota_tilde == 0.0
     assert all(isinstance(x, float) for rep in table for x in (rep.iota, rep.iota_tilde))
     for rep in table:
         assert rep.iota_tilde >= rep.iota, rep.n
+    result = structural_inequalities_check(twin, samples=5, reports=table)
+    assert result["passed"], result["findings"]
 
 
 # ---------------------------------------------------------------------------
