@@ -20,7 +20,7 @@ from .corpus import corpus_chains
 from .documents import parse_chain, parse_graph, parse_map
 from .errors import IsospecError, InvalidDocument, CapExceeded, PreconditionUnmet
 from .graphs import circulant_graph, three_clique_graph
-from .homomorphism import comparison_check, no_hom_search, validate_hom, comparison_constants
+from .homomorphism import ONTO_MODES, comparison_check, no_hom_search, validate_hom, comparison_constants
 from .isoperimetry import (
     DEFAULT_CAP,
     complete_graph_reference,
@@ -202,6 +202,10 @@ def cmd_compare(args):
                 "part_b": rep["part_b"],
             }
             checks.append({"name": "comparison bounds", "passed": rep["holds"]})
+            checks.extend(
+                {"name": f"comparison {reason}", "passed": True, "skipped": True}
+                for reason in rep["unmet"].values()
+            )
     return payload, checks, []
 
 
@@ -372,7 +376,7 @@ def build_parser():
     p = sub.add_parser("nohom", help="exhaustive onto-homomorphism search")
     p.add_argument("graph_from")
     p.add_argument("graph_to")
-    p.add_argument("--mode", choices=["vertex_onto", "edge_onto"], default="vertex_onto")
+    p.add_argument("--mode", choices=ONTO_MODES, default="vertex_onto")
     p.add_argument("--cap-maps", type=int, default=10 ** 8, dest="cap_maps")
     p.set_defaults(fn=cmd_nohom)
 
@@ -418,7 +422,7 @@ def _render_text(report):
     payload = report["payload"]
     lines.append(json.dumps(jsonable(payload), indent=2, sort_keys=True))
     for check in report["checks"]:
-        status = "PASS" if check["passed"] else "FAIL"
+        status = "SKIP" if check.get("skipped") else "PASS" if check["passed"] else "FAIL"
         lines.append(f"[{status}] {check['name']}")
     for finding in report["findings"]:
         lines.append(f"[finding] {canonical_json(finding)}")

@@ -239,36 +239,49 @@ def canonical_arcs(n, arcs):
     return best
 
 
+def _class_representatives(n, pairs, build):
+    """One graph per isomorphism class of connected edge masks over `pairs`,
+    sorted by `canonical_arcs`: each class is represented by its smallest mask.
+
+    When a mask is examined, every mask in its orbit under the vertex
+    permutations is marked, so a later mask of the same class is skipped
+    without being built or canonicalised.
+    """
+    index = {pair: i for i, pair in enumerate(pairs)}
+    # an undirected pair (u, v), u < v, is also reached as (v, u)
+    index.update({(v, u): i for (u, v), i in index.items() if (v, u) not in index})
+    # moved[p][i]: bit of pair i after vertex permutation p
+    moved = [[index[perm[u], perm[v]] for u, v in pairs] for perm in permutations(range(n))]
+    covered = bytearray(1 << len(pairs))
+    found = []
+    for mask in range(len(covered)):
+        if covered[mask]:
+            continue
+        bits = [i for i in range(len(pairs)) if mask >> i & 1]
+        for image in moved:
+            covered[sum(1 << image[i] for i in bits)] = 1
+        g = build([pairs[i] for i in bits])
+        if g.is_strongly_connected():
+            found.append((canonical_arcs(n, g.arcs), g))
+    found.sort(key=lambda item: item[0])
+    return tuple(g for _, g in found)
+
+
 @lru_cache(maxsize=None)
 def connected_graphs(n):
     """All connected simple undirected graphs on n vertices, one per isomorphism class."""
-    pairs = list(combinations(range(n), 2))
-    seen = {}
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        g = make_graph(n, edges, undirected=True)
-        if not g.is_strongly_connected():
-            continue
-        key = canonical_arcs(n, g.arcs)
-        if key not in seen:
-            seen[key] = g
-    return tuple(seen[key] for key in sorted(seen))
+    return _class_representatives(
+        n, list(combinations(range(n), 2)), lambda edges: make_graph(n, edges, undirected=True)
+    )
 
 
 @lru_cache(maxsize=None)
 def strongly_connected_digraphs(n):
     """All loop-free strongly connected digraphs on n vertices, one per isomorphism class."""
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    seen = {}
-    for mask in range(1 << len(pairs)):
-        arcs = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        g = Graph([str(i) for i in range(n)], arcs)
-        if not g.is_strongly_connected():
-            continue
-        key = canonical_arcs(n, arcs)
-        if key not in seen:
-            seen[key] = g
-    return tuple(seen[key] for key in sorted(seen))
+    labels = [str(i) for i in range(n)]
+    return _class_representatives(
+        n, [(u, v) for u in range(n) for v in range(n) if u != v], lambda arcs: Graph(labels, arcs)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, PreconditionUnmet
-from .isoperimetry import DEFAULT_CAP, isoperimetric_constant
+from .isoperimetry import DEFAULT_CAP, isoperimetric_table
 from .nodal import excessive_check, sign_decomposition
 from .spectral import spectrum
 from .tolerance import at_most
@@ -45,40 +45,102 @@ def validate_hom(graph_from, graph_to, sigma):
     return HomWitness(sigma, is_hom, vertex_onto and is_hom, edge_onto)
 
 
-def iter_homomorphisms(graph_from, graph_to, cap=10 ** 8):
-    """All arc-preserving maps in lexicographic order, by backtracking."""
+ONTO_MODES = ("vertex_onto", "edge_onto")
+
+
+def _search(graph_from, graph_to, mode, cap):
+    """Arc-preserving maps in lexicographic order as witnesses, by one
+    iterative backtracking over source vertices 0..n-1.
+
+    The search keeps two hit tables as it places and removes each vertex: how
+    many placed source vertices map to each target vertex, and how many placed
+    source arcs (those whose endpoints are both placed) map to each target
+    arc.  With mode "vertex_onto" a branch is cut when its unhit target
+    vertices outnumber the unplaced source vertices, with "edge_onto" when its
+    unhit target arcs outnumber the unplaced source arcs; mode None cuts
+    nothing.  A leaf's flags are read from the counters.
+    """
     n, m = graph_from.vertex_count, graph_to.vertex_count
     if m ** n > cap:
         raise CapExceeded(f"{m}^{n} maps exceeds the search cap {cap}")
+    # arc_id[a][b]: index of the target arc (a, b), or -1 when it is absent
+    arc_id = [[-1] * m for _ in range(m)]
+    for e, (a, b) in enumerate(sorted(graph_to.arcs)):
+        arc_id[a][b] = e
+    arc_total = len(graph_to.arcs)
+    # the source arcs placed with vertex pos, and those still unplaced after it
     arcs_at = [[] for _ in range(n)]
     for u, v in graph_from.arcs:
         arcs_at[max(u, v)].append((u, v))
+    unplaced_after = [sum(len(a) for a in arcs_at[pos + 1:]) for pos in range(n)]
+    vertex_mode, edge_mode = mode == "vertex_onto", mode == "edge_onto"
+    if n == 0:
+        if not (vertex_mode and m or edge_mode and arc_total):
+            yield HomWitness((), True, m == 0, arc_total == 0)
+        return
+
+    fiber = [0] * m        # source vertices mapped to each target vertex
+    arc_hits = [0] * arc_total
+    unhit_v, unhit_a = m, arc_total
     partial = [0] * n
+    hit_arcs = [None] * n  # target arcs hit by the arcs placed with each vertex
+    nxt = [0] * n          # next image to try at each position
+    pos = 0
+    while pos >= 0:
+        placed = hit_arcs[pos]
+        if placed is not None:
+            hit_arcs[pos] = None
+            img = partial[pos]
+            fiber[img] -= 1
+            if not fiber[img]:
+                unhit_v += 1
+            for e in placed:
+                arc_hits[e] -= 1
+                if not arc_hits[e]:
+                    unhit_a += 1
+        img = nxt[pos]
+        if img == m:
+            nxt[pos] = 0
+            pos -= 1
+            continue
+        nxt[pos] = img + 1
+        partial[pos] = img
+        placed = []
+        for u, v in arcs_at[pos]:
+            e = arc_id[partial[u]][partial[v]]
+            if e < 0:
+                break
+            placed.append(e)
+        else:
+            hit_arcs[pos] = placed
+            if not fiber[img]:
+                unhit_v -= 1
+            fiber[img] += 1
+            for e in placed:
+                if not arc_hits[e]:
+                    unhit_a -= 1
+                arc_hits[e] += 1
+            if (vertex_mode and unhit_v > n - 1 - pos) or (
+                edge_mode and unhit_a > unplaced_after[pos]
+            ):
+                continue
+            if pos == n - 1:
+                yield HomWitness(tuple(partial), True, not unhit_v, not unhit_a)
+            else:
+                pos += 1
 
-    def rec(pos):
-        if pos == n:
-            yield tuple(partial)
-            return
-        for img in range(m):
-            partial[pos] = img
-            ok = True
-            for u, v in arcs_at[pos]:
-                if not graph_to.has_arc(partial[u], partial[v]):
-                    ok = False
-                    break
-            if ok:
-                yield from rec(pos + 1)
 
-    yield from rec(0)
+def iter_homomorphisms(graph_from, graph_to, cap=10 ** 8):
+    """All arc-preserving maps in lexicographic order, by backtracking."""
+    for w in _search(graph_from, graph_to, None, cap):
+        yield w.mapping
 
 
 def onto_homomorphisms(graph_from, graph_to, mode="vertex_onto", cap=10 ** 8):
-    for sigma in iter_homomorphisms(graph_from, graph_to, cap):
-        w = validate_hom(graph_from, graph_to, sigma)
-        if mode == "vertex_onto" and w.vertex_onto:
-            yield w
-        elif mode == "edge_onto" and w.edge_onto:
-            yield w
+    """Vertex-onto or edge-onto homomorphisms in lexicographic order, as witnesses."""
+    if mode not in ONTO_MODES:
+        raise ValueError(f"unknown onto mode {mode!r}; expected one of {ONTO_MODES}")
+    yield from _search(graph_from, graph_to, mode, cap)
 
 
 def no_hom_search(graph_from, graph_to, mode="vertex_onto", cap=10 ** 8):
@@ -169,28 +231,43 @@ def comparison_check(chain_from, chain_to, witness, part="both", cap=DEFAULT_CAP
     Part (b), edge-onto: lambda^G_{n-m+k} >= factor' * lambda^H_k with the
     dual factor.  Each comparison is `tolerance.at_most`: the iota ones are
     exact on an exact chain, the eigenvalue ones carry the float slack.
+
+    A part asked for by name ("a" or "b") raises `PreconditionUnmet` when the
+    map is not onto in its sense.  Under "both" such a part is reported as
+    None, its unmet precondition is listed in `report["unmet"]`, and
+    `PreconditionUnmet` is raised only when neither part applies.
     """
+    run_a, run_b = part in ("a", "both"), part in ("b", "both")
+    unmet = {}
+    if run_a and not witness.vertex_onto:
+        unmet["part_a"] = "part (a) needs a vertex-onto homomorphism"
+        run_a = False
+    if run_b and not witness.edge_onto:
+        unmet["part_b"] = "part (b) needs an edge-onto homomorphism"
+        run_b = False
+    if unmet and not (run_a or run_b):
+        raise PreconditionUnmet("; ".join(unmet.values()))
     cc = comparison_constants(chain_from, chain_to, witness)
     n = chain_from.graph.vertex_count
     m = chain_to.graph.vertex_count
     spec_from = spectrum(chain_from)
     spec_to = spectrum(chain_to)
-    report = {"constants": cc, "part_a": None, "part_b": None}
+    report = {"constants": cc, "part_a": None, "part_b": None, "unmet": unmet}
 
-    if part in ("a", "both"):
-        if not witness.vertex_onto:
-            raise PreconditionUnmet("part (a) needs a vertex-onto homomorphism")
+    if run_a:
         factor = (
             Fraction(cc.m_sup, cc.s_sigma)
             * (cc.phibar_max_from * cc.pi_max_to)
             / (cc.phibar_min_to * cc.pi_min_from)
         )
+        iotas_from = isoperimetric_table(chain_from, m, cap, "disjoint")
+        iotas_to = isoperimetric_table(chain_to, m, cap, "disjoint")
         rows = []
         ok = True
         for k in range(1, m + 1):
             lam_ok = at_most(spec_from.lambdas[k - 1], float(factor) * spec_to.lambdas[k - 1])
-            iota_from = isoperimetric_constant(chain_from, k, "disjoint", cap).iota
-            iota_to = isoperimetric_constant(chain_to, k, "disjoint", cap).iota
+            iota_from = iotas_from[k - 1].iota
+            iota_to = iotas_to[k - 1].iota
             iota_ok = at_most(iota_from, factor * iota_to)
             ok = ok and lam_ok and iota_ok
             rows.append(
@@ -206,9 +283,7 @@ def comparison_check(chain_from, chain_to, witness, part="both", cap=DEFAULT_CAP
             )
         report["part_a"] = {"factor": factor, "rows": rows, "holds": ok}
 
-    if part in ("b", "both"):
-        if not witness.edge_onto:
-            raise PreconditionUnmet("part (b) needs an edge-onto homomorphism")
+    if run_b:
         factor = (
             Fraction(cc.m_sigma, cc.s_sup)
             * (cc.phibar_min_from * cc.pi_min_to)

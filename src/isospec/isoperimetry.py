@@ -311,15 +311,16 @@ def isoperimetric_constant(chain, n, mode="both", cap=DEFAULT_CAP, table=None):
     return IsoperimetricReport(n, iota, iota_tilde, witness, witness_tilde, examined)
 
 
-def isoperimetric_table(chain, max_n=None, cap=DEFAULT_CAP):
-    """Reports for n = 1..max_n (default the vertex count), from one cut table."""
+def isoperimetric_table(chain, max_n=None, cap=DEFAULT_CAP, mode="both"):
+    """Reports for n = 1..max_n (default the vertex count), from one cut table;
+    `mode` is as in `isoperimetric_constant`."""
     vcount = chain.graph.vertex_count
     if max_n is None:
         max_n = vcount
     _check_cap(chain, cap)
     table = cut_table(chain)
     return tuple(
-        isoperimetric_constant(chain, n, "both", cap, table) for n in range(1, max_n + 1)
+        isoperimetric_constant(chain, n, mode, cap, table) for n in range(1, max_n + 1)
     )
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from isospec.cli import run
+from isospec.cli import main, run
 from isospec.reports import canonical_json
 
 
@@ -86,6 +86,38 @@ def test_compare_subcommand(docs):
     assert code == 0
     assert report["payload"]["classification"] == "onto_edge"
     assert report["checks"][0]["passed"]
+
+
+def test_compare_both_on_vertex_onto_only_map(docs, tmp_path, capsys):
+    # C8 -> C4 map that is vertex-onto but misses the arc {3, 0}
+    c8 = write(tmp_path, "c8.graph", {
+        "vertices": 8, "arcs": [[i, (i + 1) % 8] for i in range(8)], "undirected": True,
+    })
+    sigma = write(tmp_path, "vertex.map", {
+        "map": {str(i): str(x) for i, x in enumerate((0, 1, 2, 3, 2, 1, 0, 1))},
+    })
+    for backend in ([], ["--float"]):
+        code, report = run(backend + ["compare", c8, docs["c4"], "--map", sigma])
+        assert code == 0
+        payload = report["payload"]
+        assert payload["classification"] == "onto_vertex"
+        assert payload["comparison"]["part_b"] is None
+        assert payload["comparison"]["part_a"]["holds"]
+        assert report["checks"] == [
+            {"name": "comparison bounds", "passed": True},
+            {"name": "comparison part (b) needs an edge-onto homomorphism",
+             "passed": True, "skipped": True},
+        ]
+        code_a, report_a = run(backend + ["compare", c8, docs["c4"], "--map", sigma, "--check", "a"])
+        assert code_a == 0
+        assert canonical_json(report_a["payload"]["comparison"]["part_a"]) == canonical_json(
+            payload["comparison"]["part_a"]
+        )
+        code_b, report_b = run(backend + ["compare", c8, docs["c4"], "--map", sigma, "--check", "b"])
+        assert code_b == 2
+        assert report_b["error"] == "part (b) needs an edge-onto homomorphism"
+    assert main(["compare", c8, docs["c4"], "--map", sigma]) == 0
+    assert "[SKIP] comparison part (b) needs an edge-onto homomorphism" in capsys.readouterr().out
 
 
 def test_spectrum_deterministic_payload(docs):

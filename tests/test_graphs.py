@@ -79,6 +79,35 @@ def test_isomorphism_class_counts():
     assert len(strongly_connected_digraphs(4)) == 83
 
 
+def _first_of_each_class(n, pairs, build):
+    """Brute force: every edge mask in order, the first graph of each class
+    by `canonical_arcs`, sorted by that key."""
+    seen = {}
+    for mask in range(1 << len(pairs)):
+        g = build([pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+        if g.is_strongly_connected():
+            seen.setdefault(canonical_arcs(n, g.arcs), g)
+    return [seen[key] for key in sorted(seen)]
+
+
+def test_class_enumeration_matches_brute_force():
+    def rows(graphs):
+        return [(g.labels, sorted(g.arcs)) for g in graphs]
+
+    for n in range(1, 6):
+        expected = _first_of_each_class(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n)],
+            lambda edges: make_graph(n, edges, undirected=True),
+        )
+        assert rows(connected_graphs(n)) == rows(expected)
+    for n in range(1, 5):
+        expected = _first_of_each_class(
+            n, [(u, v) for u in range(n) for v in range(n) if u != v],
+            lambda arcs: Graph([str(i) for i in range(n)], arcs),
+        )
+        assert rows(strongly_connected_digraphs(n)) == rows(expected)
+
+
 def test_canonical_arcs_invariant_under_relabel():
     g = path_graph(4)
     key = canonical_arcs(4, g.arcs)

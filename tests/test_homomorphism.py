@@ -1,6 +1,8 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isospec.chains import build_chain, natural_walk
 from isospec.errors import CapExceeded, PreconditionUnmet
@@ -25,6 +27,8 @@ from isospec.spectral import spectrum
 F = Fraction
 
 COLORING = (0, 1, 0, 1, 0, 1)
+# a vertex-onto C8 -> C4 map that misses the arc {3, 0}
+C8_C4_VERTEX_ONLY = (0, 1, 2, 3, 2, 1, 0, 1)
 
 
 def test_identity_is_onto_edge(c4):
@@ -62,6 +66,62 @@ def test_search_witnesses(c6, k2, k3):
     assert w2.mapping == (0, 1, 2)
     assert sum(1 for _ in onto_homomorphisms(cycle_graph(4), cycle_graph(4))) == 8
     assert sum(1 for _ in onto_homomorphisms(c6.graph, k2.graph, "edge_onto")) == 2
+    c8, c4 = cycle_graph(8), cycle_graph(4)
+    assert sum(1 for _ in onto_homomorphisms(c8, c4, "vertex_onto")) == 392
+    assert sum(1 for _ in onto_homomorphisms(c8, c4, "edge_onto")) == 264
+    assert sum(1 for _ in onto_homomorphisms(complete_bipartite_graph(3, 3), c4, "edge_onto")) == 72
+
+
+def test_empty_source_graph(k2):
+    empty = make_graph(0, [])
+    assert list(iter_homomorphisms(empty, k2.graph)) == [()]
+    assert no_hom_search(empty, empty) == validate_hom(empty, empty, ())
+    assert no_hom_search(empty, k2.graph) is None
+    assert no_hom_search(empty, k2.graph, "edge_onto") is None
+
+
+def test_unknown_onto_mode_rejected(k2):
+    with pytest.raises(ValueError):
+        no_hom_search(cycle_graph(4), k2.graph, "onto")
+    with pytest.raises(ValueError):
+        list(onto_homomorphisms(cycle_graph(4), k2.graph, "vertex"))
+
+
+def _witness_rows(witnesses):
+    return [(w.mapping, w.is_hom, w.vertex_onto, w.edge_onto) for w in witnesses]
+
+
+@st.composite
+def graph_pairs(draw):
+    """A 2-6 vertex source and a 1-4 vertex target, self-loops and one-way
+    arcs allowed.  Half the sources are pulled back along a drawn map, so
+    that homomorphisms exist; targets keep isolated vertices when drawn."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 4))
+    target_arcs = draw(st.sets(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))))
+    if target_arcs and draw(st.booleans()):
+        sigma = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        pool = [(u, v) for u in range(n) for v in range(n) if (sigma[u], sigma[v]) in target_arcs]
+        source_arcs = draw(st.sets(st.sampled_from(pool))) if pool else set()
+    else:
+        source_arcs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6))
+    return make_graph(n, source_arcs), make_graph(m, target_arcs)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(graph_pairs())
+def test_search_matches_brute_force(pair):
+    # the oracle: all m**n maps in lexicographic order, each through validate_hom
+    g, h = pair
+    homs = [
+        w for w in (validate_hom(g, h, s) for s in product(range(h.vertex_count), repeat=g.vertex_count))
+        if w.is_hom
+    ]
+    assert list(iter_homomorphisms(g, h)) == [w.mapping for w in homs]
+    for mode in ("vertex_onto", "edge_onto"):
+        expected = [w for w in homs if getattr(w, mode)]
+        assert _witness_rows(onto_homomorphisms(g, h, mode)) == _witness_rows(expected)
+        assert no_hom_search(g, h, mode) == (expected[0] if expected else None)
 
 
 def test_search_cap(k2):
@@ -123,8 +183,21 @@ def test_comparison_check_identity(c4):
 def test_comparison_check_preconditions(c4, k2):
     p3 = make_graph(3, [(0, 1), (1, 2)], undirected=True)
     w = validate_hom(c4.graph, p3, (0, 1, 0, 1))
+    for part in ("a", "both"):
+        with pytest.raises(PreconditionUnmet):
+            comparison_check(c4, natural_walk(p3), w, part=part)
+
+
+def test_comparison_check_both_runs_the_applicable_part():
+    c8, c4 = natural_walk(cycle_graph(8)), natural_walk(cycle_graph(4))
+    w = validate_hom(c8.graph, c4.graph, C8_C4_VERTEX_ONLY)
+    assert w.classification == "onto_vertex"
+    rep = comparison_check(c8, c4, w)
+    assert rep["holds"] and rep["part_b"] is None
+    assert rep["unmet"] == {"part_b": "part (b) needs an edge-onto homomorphism"}
+    assert rep["part_a"] == comparison_check(c8, c4, w, part="a")["part_a"]
     with pytest.raises(PreconditionUnmet):
-        comparison_check(c4, natural_walk(p3), w, part="a")
+        comparison_check(c8, c4, w, part="b")
 
 
 def test_soundness_over_corpus_pairs(c4, c6, k2, k3):
