@@ -18,13 +18,14 @@ from . import __version__
 from .chains import natural_walk
 from .corpus import corpus_chains
 from .documents import parse_chain, parse_graph, parse_map
-from .errors import IsospecError, InvalidDocument, CapExceeded, PreconditionUnmet
+from .errors import IsospecError, InvalidDocument, CapExceeded
 from .graphs import circulant_graph, three_clique_graph
 from .homomorphism import ONTO_MODES, comparison_check, no_hom_search, validate_hom, comparison_constants
 from .isoperimetry import (
     DEFAULT_CAP,
     complete_graph_reference,
     isoperimetric_constant,
+    isoperimetric_table,
     supergeometric_classify,
 )
 from .nodal import (
@@ -96,14 +97,18 @@ def cmd_iso(args):
     return payload, [], findings
 
 
+def _supergeometric_rows(rep):
+    return [
+        {"n": n, "iota": a, "iota_tilde": b, "geometric": geo}
+        for n, a, b, geo in rep.rows
+    ]
+
+
 def cmd_supergeometric(args):
     chain = _load_chain(args.graph, args)
     rep = supergeometric_classify(chain, args.max_n, args.cap)
     payload = {
-        "rows": [
-            {"n": n, "iota": a, "iota_tilde": b, "geometric": geo}
-            for n, a, b, geo in rep.rows
-        ],
+        "rows": _supergeometric_rows(rep),
         "supergeometric": rep.supergeometric,
         "max_n": rep.max_n,
     }
@@ -193,10 +198,11 @@ def cmd_compare(args):
     payload = {"classification": witness.classification, "map": list(witness.mapping)}
     checks = []
     if witness.is_hom:
-        cc = comparison_constants(chain_from, chain_to, witness)
-        payload["constants"] = cc
-        if args.check != "none":
+        if args.check == "none":
+            payload["constants"] = comparison_constants(chain_from, chain_to, witness)
+        else:
             rep = comparison_check(chain_from, chain_to, witness, args.check, args.cap)
+            payload["constants"] = rep["constants"]
             payload["comparison"] = {
                 "part_a": rep["part_a"],
                 "part_b": rep["part_b"],
@@ -220,9 +226,10 @@ def cmd_nohom(args):
     return payload, [], []
 
 
-def _three_clique_point(n):
+def _three_clique_point(item):
+    n, cap = item
     chain = natural_walk(three_clique_graph(n))
-    iso = isoperimetric_constant(chain, 3, "both")
+    iso = isoperimetric_constant(chain, 3, "both", cap)
     from fractions import Fraction
 
     expected_hub = Fraction(1, n * n - n + 2)
@@ -241,12 +248,13 @@ def _three_clique_point(n):
 
 
 def _gencheeger_point(item):
-    name, max_n = item
+    name, max_n, cap = item
     chain = dict(corpus_chains())[name]
+    vcount = chain.graph.vertex_count
     spec = spectrum(chain)
     out = []
-    for n in range(2, min(max_n, chain.graph.vertex_count) + 1):
-        finding = gen_cheeger_probe(chain, n, spectrum_report=spec)
+    for iso in isoperimetric_table(chain, min(max_n or vcount, vcount), cap, "disjoint")[1:]:
+        finding = gen_cheeger_probe(chain, iso.n, iso, spec)
         finding["chain"] = name
         out.append(finding)
     return out
@@ -269,7 +277,9 @@ def cmd_probe(args):
             raise CapExceeded(
                 f"three-clique sweep needs {3 * hi + 1} vertices; cap is {args.cap}"
             )
-        points = _parallel_map(_three_clique_point, list(range(lo, hi + 1)), args.jobs)
+        points = _parallel_map(
+            _three_clique_point, [(n, args.cap) for n in range(lo, hi + 1)], args.jobs
+        )
         findings = [{"kind": "three_clique", **p} for p in points]
         payload = {"experiment": "three-clique", "points": points}
         checks = [
@@ -293,10 +303,7 @@ def cmd_probe(args):
             "order": order,
             "connections": connections,
             "uniform_pi_stationary": chain.uniform_pi_stationary,
-            "rows": [
-                {"n": n, "iota": a, "iota_tilde": b, "geometric": geo}
-                for n, a, b, geo in rep.rows
-            ],
+            "rows": _supergeometric_rows(rep),
             "supergeometric": rep.supergeometric,
         }
         findings = [
@@ -315,7 +322,7 @@ def cmd_probe(args):
             if chain.graph.vertex_count <= args.max_vertices
         ]
         batches = _parallel_map(
-            _gencheeger_point, [(name, args.max_n or DEFAULT_CAP) for name in names], args.jobs
+            _gencheeger_point, [(name, args.max_n, args.cap) for name in names], args.jobs
         )
         findings = [f for batch in batches for f in batch]
         payload = {"experiment": "gencheeger", "findings_count": len(findings)}
@@ -450,9 +457,7 @@ def _execute(args, argv):
     try:
         payload, checks, findings = args.fn(args)
         code = 0 if all(c["passed"] for c in checks) else 1
-    except (InvalidDocument, CapExceeded, PreconditionUnmet, ValueError) as exc:
-        return 2, {"error": str(exc), "command": list(argv)}
-    except IsospecError as exc:
+    except (IsospecError, ValueError) as exc:
         return 2, {"error": str(exc), "command": list(argv)}
     report = {
         "version": __version__,

@@ -4,9 +4,9 @@ The n'th isoperimetric value of a chain is the minimum over families of n
 pairwise-disjoint nonempty vertex sets of the mean normalized outflow
 (1/n) sum_i boundary(Q_i)/pi(Q_i); the tilde variant restricts the minimum
 to partitions.  Minimization is exact.  Each top-level call builds one cut
-table of all 2^V vertex sets (integer masses and outflows over fixed common
-denominators, the ratio of each set as a Fraction and as a float, and the
-least ratio over the subsets of each set).  A branch-and-bound search over
+table of all 2^V vertex sets (the ratio of each set, from integer masses and
+outflows over fixed common denominators, as a Fraction and as a float, and
+the least ratio over the subsets of each set).  A branch-and-bound search over
 canonical families cuts a branch when a float lower bound from that table,
 taken at an anchor, inside a class or at a class's close, exceeds the
 incumbent by more than a relative and absolute margin of 1e-9.  The float
@@ -114,15 +114,12 @@ def family_objective(chain, fam):
 class CutTable:
     """Cut values of every vertex set of a chain, indexed by bitmask.
 
-    pi_num[S] and boundary_num[S] are the mass and the outflow of S on the
-    chain's integer scales; ratio[S] is boundary(S)/pi(S) as a Fraction, exact
-    on either backend; ratio_f is its correctly rounded float and lb[S] the
-    least ratio_f over the nonempty subsets of S (lb[0] = inf).
+    ratio[S] is boundary(S)/pi(S) as a Fraction, exact on either backend;
+    ratio_f is its correctly rounded float and lb[S] the least ratio_f over
+    the nonempty subsets of S (lb[0] = inf).
     """
 
     vertex_count: int
-    pi_num: list
-    boundary_num: list
     ratio: list
     ratio_f: list
     lb: list
@@ -167,7 +164,7 @@ def cut_table(chain):
         for s in range(size):
             if s & bit and lb[s ^ bit] < lb[s]:
                 lb[s] = lb[s ^ bit]
-    return CutTable(vcount, pi_num, boundary_num, ratio, ratio_f, lb)
+    return CutTable(vcount, ratio, ratio_f, lb)
 
 
 def _minimize(chain, n, mode, table):
@@ -287,19 +284,9 @@ def _check_cap(chain, cap):
         )
 
 
-def isoperimetric_constant(chain, n, mode="both", cap=DEFAULT_CAP, table=None):
-    """Exact iota_n / iota~_n with minimizing witnesses.
-
-    mode selects which side is computed ("disjoint", "partition" or "both");
-    the unsolved side is reported as None.  `table`, the chain's `cut_table`,
-    is built here when not given; callers that ask for several n pass one.
-    """
-    vcount = chain.graph.vertex_count
-    if not 1 <= n <= vcount:
-        raise ValueError(f"n must be in 1..{vcount}, got {n}")
-    _check_cap(chain, cap)
-    if table is None:
-        table = cut_table(chain)
+def _report(chain, n, mode, table):
+    """The report for one n from `table`, the chain's `cut_table`; the side
+    `mode` leaves out is None."""
     iota = iota_tilde = witness = witness_tilde = None
     examined = 0
     if mode in ("disjoint", "both"):
@@ -311,6 +298,20 @@ def isoperimetric_constant(chain, n, mode="both", cap=DEFAULT_CAP, table=None):
     return IsoperimetricReport(n, iota, iota_tilde, witness, witness_tilde, examined)
 
 
+def isoperimetric_constant(chain, n, mode="both", cap=DEFAULT_CAP):
+    """Exact iota_n / iota~_n with minimizing witnesses, from one cut table.
+
+    mode selects which side is computed ("disjoint", "partition" or "both");
+    the unsolved side is reported as None.  For several n of one chain use
+    `isoperimetric_table`, which shares the cut table across them.
+    """
+    vcount = chain.graph.vertex_count
+    if not 1 <= n <= vcount:
+        raise ValueError(f"n must be in 1..{vcount}, got {n}")
+    _check_cap(chain, cap)
+    return _report(chain, n, mode, cut_table(chain))
+
+
 def isoperimetric_table(chain, max_n=None, cap=DEFAULT_CAP, mode="both"):
     """Reports for n = 1..max_n (default the vertex count), from one cut table;
     `mode` is as in `isoperimetric_constant`."""
@@ -318,10 +319,10 @@ def isoperimetric_table(chain, max_n=None, cap=DEFAULT_CAP, mode="both"):
     if max_n is None:
         max_n = vcount
     _check_cap(chain, cap)
+    if max_n > vcount:
+        raise ValueError(f"n must be in 1..{vcount}, got {max_n}")
     table = cut_table(chain)
-    return tuple(
-        isoperimetric_constant(chain, n, mode, cap, table) for n in range(1, max_n + 1)
-    )
+    return tuple(_report(chain, n, mode, table) for n in range(1, max_n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +499,10 @@ def characteristic_family(chain, fam):
     return _built_family(chain, tuple(functions), form)
 
 
-def random_positive_family(chain, n, rng, partition=False):
-    """Random supports (one anchor per class, the rest uniform) with independent
-    positive rational values, L1-normalized per class."""
-    vcount = chain.graph.vertex_count
+def _random_labels(vcount, n, rng, partition):
+    """Class labels 1..n of a random support: class k is anchored at perm[k-1]
+    of a random permutation, every other vertex draws its label uniformly from
+    0..n (1..n for a partition), 0 meaning unassigned."""
     perm = rng.sample(range(vcount), vcount)
     labels = [0] * vcount
     for k in range(n):
@@ -509,6 +510,14 @@ def random_positive_family(chain, n, rng, partition=False):
     lo = 1 if partition else 0
     for v in perm[n:]:
         labels[v] = rng.randint(lo, n)
+    return labels
+
+
+def random_positive_family(chain, n, rng, partition=False):
+    """Random supports (one anchor per class, the rest uniform) with independent
+    positive rational values, L1-normalized per class."""
+    vcount = chain.graph.vertex_count
+    labels = _random_labels(vcount, n, rng, partition)
     zero = chain.scalar(0, 1)
     functions = []
     form = []
@@ -529,14 +538,8 @@ def random_positive_family(chain, n, rng, partition=False):
 
 def random_disjoint_family(chain, n, rng, partition=False):
     vcount = chain.graph.vertex_count
-    perm = rng.sample(range(vcount), vcount)
-    labels = [0] * vcount
-    for k in range(n):
-        labels[perm[k]] = k + 1
-    lo = 1 if partition else 0
-    for v in perm[n:]:
-        labels[v] = rng.randint(lo, n)
-    # each class holds its anchor perm[k - 1]; in partition mode every label is a class
+    labels = _random_labels(vcount, n, rng, partition)
+    # each class holds its anchor; in partition mode every label is a class
     classes = [frozenset(v for v in range(vcount) if labels[v] == k) for k in range(1, n + 1)]
     return SubsetFamily(tuple(sorted(classes, key=min)), "partition" if partition else "disjoint")
 
@@ -558,14 +561,12 @@ def supergeometric_classify(chain, max_n=None, cap=DEFAULT_CAP):
         max_n = vcount
     if not 2 <= max_n <= vcount:
         raise ValueError(f"max_n must be in 2..{vcount}")
-    _check_cap(chain, cap)
-    table = cut_table(chain)
-    rows = []
-    for n in range(2, max_n + 1):
-        rep = isoperimetric_constant(chain, n, "both", cap, table)
-        rows.append((n, rep.iota, rep.iota_tilde, rep.iota == rep.iota_tilde))
+    rows = tuple(
+        (rep.n, rep.iota, rep.iota_tilde, rep.iota == rep.iota_tilde)
+        for rep in isoperimetric_table(chain, max_n, cap)[1:]
+    )
     overall = all(r[3] for r in rows) if max_n == vcount else None
-    return SupergeometricReport(tuple(rows), overall, max_n)
+    return SupergeometricReport(rows, overall, max_n)
 
 
 def complete_graph_reference(n, t):
@@ -661,10 +662,10 @@ def _merge_bounds(chain, classes):
     return out
 
 
-def structural_inequalities_check(chain, samples=200, rng=None, reports=None, cap=DEFAULT_CAP):
+def structural_inequalities_check(chain, reports, samples=200, rng=None):
     """Verification of the structural inequalities tying iota and iota~ together.
 
-    Checks, per n: 0 <= iota~_n - iota_n <= 1/n, iota~_2 = iota_2, the
+    `reports` is the chain's full `isoperimetric_table`.  Checks, per n: 0 <= iota~_n - iota_n <= 1/n, iota~_2 = iota_2, the
     (1 - 1/n^2) partition monotonicity, disjoint monotonicity, the full chain
     0 = iota_1 <= ... <= iota_V with endpoint 1 - trace(K)/V, plus the S/T
     weighted-mean bounds on `samples` random disjoint families per n.  Each
@@ -675,8 +676,6 @@ def structural_inequalities_check(chain, samples=200, rng=None, reports=None, ca
     import random as _random
 
     vcount = chain.graph.vertex_count
-    if reports is None:
-        reports = isoperimetric_table(chain, cap=cap)
     rng = rng or _random.Random(20240)
     findings = []
 

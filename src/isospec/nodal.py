@@ -11,7 +11,6 @@ from .calculus import (
     restrict,
 )
 from .errors import PreconditionUnmet
-from .isoperimetry import DEFAULT_CAP, isoperimetric_constant
 from .tolerance import at_most, signed
 
 
@@ -270,19 +269,14 @@ def compatible_set_search(chain, spectrum_report, n):
     )
 
 
-def gen_cheeger_probe(chain, n, iso_report=None, spectrum_report=None, cap=DEFAULT_CAP):
+def gen_cheeger_probe(chain, n, iso_report, spectrum_report):
     """Evaluate (never assert) the conjectured two-sided bound
-    ((n-1)/2n) iota_n^2 <= mean_lambda_n <= ((n-1)/n) iota_n.
+    ((n-1)/2n) iota_n^2 <= mean_lambda_n <= ((n-1)/n) iota_n, with iota_n read
+    from `iso_report` and the spectrum from `spectrum_report`.
 
     The hypothesis is a successful sign-graph selection for f_2..f_n; when it
     fails the finding records "hypothesis unmet" and no bounds are evaluated.
     """
-    from .spectral import spectrum as _spectrum
-
-    if spectrum_report is None:
-        spectrum_report = _spectrum(chain)
-    if iso_report is None:
-        iso_report = isoperimetric_constant(chain, n, "disjoint", cap)
     cs = compatible_set_search(chain, spectrum_report, n)
     finding = {
         "n": n,

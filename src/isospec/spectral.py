@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .calculus import laplacian_apply
 from .errors import ConvergenceError, FrameNotOrthonormal
 from .tolerance import CLUSTER, INPUT, JACOBI_OFFDIAG, ZERO
 
@@ -138,15 +139,6 @@ def spectrum(chain):
     )
 
 
-def apply_delta_float(chain, f):
-    n = len(f)
-    kbar = chain.kbar
-    return [
-        float(f[u]) - sum(float(kbar[u][v]) * float(f[v]) for v in range(n))
-        for u in range(n)
-    ]
-
-
 def ky_fan_value(report, frame):
     """Mean Rayleigh trace (1/n) sum_i <Delta f_i, f_i>_pi over a pi-orthonormal frame."""
     chain = report.chain
@@ -162,7 +154,7 @@ def ky_fan_value(report, frame):
                 )
     total = 0.0
     for f in frame:
-        df = apply_delta_float(chain, f)
+        df = laplacian_apply(chain, f)
         total += sum(a * b * p for a, b, p in zip(df, f, pi))
     return total / len(frame)
 

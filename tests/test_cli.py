@@ -120,6 +120,30 @@ def test_compare_both_on_vertex_onto_only_map(docs, tmp_path, capsys):
     assert "[SKIP] comparison part (b) needs an edge-onto homomorphism" in capsys.readouterr().out
 
 
+def test_compare_computes_constants_once(docs, monkeypatch):
+    from isospec import cli, homomorphism
+
+    calls = []
+    original = homomorphism.comparison_constants
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "comparison_constants", counting)
+    monkeypatch.setattr(homomorphism, "comparison_constants", counting)
+    payloads = {}
+    for check in ("both", "a", "b", "none"):
+        calls.clear()
+        code, report = run([
+            "compare", docs["c6"], docs["k2"], "--map", docs["coloring"], "--check", check,
+        ])
+        assert code == 0
+        assert len(calls) == 1, check
+        payloads[check] = canonical_json(report["payload"]["constants"])
+    assert len(set(payloads.values())) == 1
+
+
 def test_spectrum_deterministic_payload(docs):
     code1, rep1 = run(["spectrum", docs["c4"]])
     code2, rep2 = run(["spectrum", docs["c4"]])
@@ -154,6 +178,17 @@ def test_probe_gencheeger_records_findings():
     evaluated = [f for f in findings if f.get("hypothesis_met")]
     assert any(f["upper_holds"] is False for f in evaluated)
     assert all(f["lower_holds"] for f in evaluated)
+
+
+def test_probes_honour_cap():
+    # 16 vertices: over the default cap, within --cap 16
+    code, report = run(["--cap", "16", "probe", "three-clique", "--sweep", "5..5"])
+    assert code == 0
+    point = report["payload"]["points"][0]
+    assert (point["iota_3"], point["iota_tilde_3"]) == (F(1, 21), F(5, 84))
+    code, report = run(["--cap", "4", "probe", "gencheeger", "--max-vertices", "5"])
+    assert code == 2
+    assert "exceeds the enumeration cap 4" in report["error"]
 
 
 def test_input_errors_exit_2(docs, tmp_path):

@@ -603,7 +603,7 @@ def test_complete_graph_reference_flags_discrepancy():
 # ---------------------------------------------------------------------------
 
 def test_structural_chain_c4(c4):
-    out = structural_inequalities_check(c4, samples=40)
+    out = structural_inequalities_check(c4, isoperimetric_table(c4), samples=40)
     assert out["passed"], out["findings"]
     assert out["iota_chain"] == (0, F(1, 2), F(5, 6), F(1))
     assert out["endpoint"] == F(1)
@@ -611,7 +611,7 @@ def test_structural_chain_c4(c4):
 
 def test_structural_lazy_endpoint():
     ch = lazy_max_degree_kernel(path_graph(3))
-    out = structural_inequalities_check(ch, samples=40)
+    out = structural_inequalities_check(ch, isoperimetric_table(ch), samples=40)
     assert out["passed"], out["findings"]
     assert out["endpoint"] == F(2, 3)
     assert out["iota_chain"][-1] == F(2, 3)

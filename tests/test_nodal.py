@@ -188,7 +188,7 @@ def test_gen_cheeger_probe_findings(c4, k3):
     assert abs(f["lower_bound"] - 1 / 16) < 1e-12
     assert abs(f["upper_bound"] - 1 / 4) < 1e-12
 
-    f3 = gen_cheeger_probe(k3, 2)
+    f3 = gen_cheeger_probe(k3, 2, isoperimetric_constant(k3, 2, "disjoint"), spectrum(k3))
     assert f3["lower_holds"] is True and f3["upper_holds"] is False
     assert abs(f3["lower_bound"] - 9 / 64) < 1e-12
 
@@ -197,9 +197,10 @@ def test_gen_cheeger_probe_vacuous_case():
     # a chain and n where the sign-graph selection fails reports no bounds
     ch = natural_walk(cycle_graph(4))
     rep = spectrum(ch)
+    table = isoperimetric_table(ch, mode="disjoint")
     found_vacuous = False
     for n in range(2, 5):
-        f = gen_cheeger_probe(ch, n, spectrum_report=rep)
+        f = gen_cheeger_probe(ch, n, table[n - 1], rep)
         if not f["hypothesis_met"]:
             assert "upper_holds" not in f
             found_vacuous = True

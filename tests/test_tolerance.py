@@ -29,17 +29,34 @@ def test_no_threshold_literal_outside_the_policy_module():
     assert not found, found
 
 
-def test_no_public_function_takes_a_tolerance():
-    banned = {"tol", "zero_tol", "ortho_tol", "max_iters"}
-    found = []
+def _public_parameters():
+    """(module.function, parameters) of every public function of the package."""
     for info in pkgutil.iter_modules([str(PACKAGE)]):
         module = importlib.import_module(f"isospec.{info.name}")
         for name, fn in vars(module).items():
             if name.startswith("_") or not inspect.isfunction(fn) \
                     or fn.__module__ != module.__name__:
                 continue
-            found += [f"{info.name}.{name}({p})"
-                      for p in inspect.signature(fn).parameters if p in banned]
+            yield f"{info.name}.{name}", inspect.signature(fn).parameters
+
+
+def test_no_public_function_takes_a_tolerance():
+    banned = {"tol", "zero_tol", "ortho_tol", "max_iters"}
+    found = [f"{fn}({p})" for fn, params in _public_parameters() for p in params if p in banned]
+    assert not found, found
+
+
+def test_no_public_function_takes_optional_precomputed_data():
+    """A function that needs a cut table, iota reports or a spectrum either
+    builds it or requires it; none computes it only when the caller left it
+    out.  Several n of one chain share a cut table through isoperimetric_table."""
+    optional = {"reports", "iso_report", "spectrum_report"}
+    found = [
+        f"{fn}({p})"
+        for fn, params in _public_parameters()
+        for p, param in params.items()
+        if p == "table" or (p in optional and param.default is None)
+    ]
     assert not found, found
 
 
