@@ -16,10 +16,6 @@ def negative_part(f):
     return tuple(-x if x < 0 else 0 * x for x in f)
 
 
-def support(f):
-    return frozenset(v for v, x in enumerate(f) if x != 0)
-
-
 def restrict(f, subset):
     q = set(subset)
     return tuple(x if v in q else 0 * x for v, x in enumerate(f))
@@ -27,18 +23,6 @@ def restrict(f, subset):
 
 def inner_pi(chain, f, g):
     return sum(a * b * p for a, b, p in zip(f, g, chain.pi))
-
-
-def norm_pi(chain, f, p=2):
-    if p == 1:
-        return sum(abs(x) * w for x, w in zip(f, chain.pi))
-    if p == 2:
-        return inner_pi(chain, f, f) ** 0.5
-    raise ValueError("only p in {1, 2}")
-
-
-def norm2_pi_squared(chain, f):
-    return inner_pi(chain, f, f)
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +89,16 @@ def inner_phi(chain, F, G):
 # Laplacians
 # ---------------------------------------------------------------------------
 
-def laplacian_apply(chain, f, variant="symmetric"):
-    """(I - K) f for the directed variant, (I - K_bar) f for the symmetric one."""
+def kernel_apply(chain, f, variant="symmetric"):
+    """K f for the directed variant, K_bar f for the symmetric one."""
     mat = chain.kernel if variant == "directed" else chain.kbar
     n = len(f)
-    return tuple(f[u] - sum(mat[u][v] * f[v] for v in range(n)) for u in range(n))
+    return tuple(sum(mat[u][v] * f[v] for v in range(n)) for u in range(n))
+
+
+def laplacian_apply(chain, f, variant="symmetric"):
+    """(I - K) f for the directed variant, (I - K_bar) f for the symmetric one."""
+    return tuple(x - y for x, y in zip(f, kernel_apply(chain, f, variant)))
 
 
 def laplacian_matrix(chain, variant="symmetric"):

@@ -13,9 +13,10 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction
 
 from . import __version__
-from .chains import natural_walk
+from .chains import lazy_max_degree_kernel, natural_walk
 from .corpus import corpus_chains
 from .documents import parse_chain, parse_graph, parse_map
 from .errors import IsospecError, InvalidDocument, CapExceeded
@@ -230,8 +231,6 @@ def _three_clique_point(item):
     n, cap = item
     chain = natural_walk(three_clique_graph(n))
     iso = isoperimetric_constant(chain, 3, "both", cap)
-    from fractions import Fraction
-
     expected_hub = Fraction(1, n * n - n + 2)
     return {
         "block_size": n,
@@ -269,67 +268,65 @@ def _parallel_map(fn, items, jobs):
         return pool.map(fn, items)
 
 
-def cmd_probe(args):
-    findings = []
-    if args.experiment == "three-clique":
-        lo, hi = args.sweep
-        if 3 * hi + 1 > args.cap:
-            raise CapExceeded(
-                f"three-clique sweep needs {3 * hi + 1} vertices; cap is {args.cap}"
-            )
-        points = _parallel_map(
-            _three_clique_point, [(n, args.cap) for n in range(lo, hi + 1)], args.jobs
+def cmd_probe_three_clique(args):
+    lo, hi = args.sweep
+    if 3 * hi + 1 > args.cap:
+        raise CapExceeded(
+            f"three-clique sweep needs {3 * hi + 1} vertices; cap is {args.cap}"
         )
-        findings = [{"kind": "three_clique", **p} for p in points]
-        payload = {"experiment": "three-clique", "points": points}
-        checks = [
-            {
-                "name": "hub stationary mass matches 1/(n^2-n+2)",
-                "passed": all(p["pi_hub_matches"] for p in points),
-            }
-        ]
-    elif args.experiment == "circulant":
-        order = args.order
-        connections = [int(x) for x in args.connections.split(",") if x.strip()]
-        if order > args.cap:
-            raise CapExceeded(f"order {order} exceeds cap {args.cap}")
-        from .chains import lazy_max_degree_kernel
+    points = _parallel_map(
+        _three_clique_point, [(n, args.cap) for n in range(lo, hi + 1)], args.jobs
+    )
+    findings = [{"kind": "three_clique", **p} for p in points]
+    payload = {"experiment": "three-clique", "points": points}
+    checks = [
+        {
+            "name": "hub stationary mass matches 1/(n^2-n+2)",
+            "passed": all(p["pi_hub_matches"] for p in points),
+        }
+    ]
+    return payload, checks, findings
 
-        graph = circulant_graph(order, connections)
-        chain = lazy_max_degree_kernel(graph)
-        rep = supergeometric_classify(chain, cap=args.cap)
-        payload = {
-            "experiment": "circulant",
+
+def cmd_probe_circulant(args):
+    order = args.order
+    connections = [int(x) for x in args.connections.split(",") if x.strip()]
+    if order > args.cap:
+        raise CapExceeded(f"order {order} exceeds cap {args.cap}")
+    graph = circulant_graph(order, connections)
+    chain = lazy_max_degree_kernel(graph)
+    rep = supergeometric_classify(chain, cap=args.cap)
+    payload = {
+        "experiment": "circulant",
+        "order": order,
+        "connections": connections,
+        "uniform_pi_stationary": chain.uniform_pi_stationary,
+        "rows": _supergeometric_rows(rep),
+        "supergeometric": rep.supergeometric,
+    }
+    findings = [
+        {
+            "kind": "circulant_supergeometric",
             "order": order,
             "connections": connections,
-            "uniform_pi_stationary": chain.uniform_pi_stationary,
-            "rows": _supergeometric_rows(rep),
-            "supergeometric": rep.supergeometric,
+            "verdict": rep.supergeometric,
         }
-        findings = [
-            {
-                "kind": "circulant_supergeometric",
-                "order": order,
-                "connections": connections,
-                "verdict": rep.supergeometric,
-            }
-        ]
-        checks = []
-    elif args.experiment == "gencheeger":
-        names = [
-            name
-            for name, chain in corpus_chains()
-            if chain.graph.vertex_count <= args.max_vertices
-        ]
-        batches = _parallel_map(
-            _gencheeger_point, [(name, args.max_n, args.cap) for name in names], args.jobs
-        )
-        findings = [f for batch in batches for f in batch]
-        payload = {"experiment": "gencheeger", "findings_count": len(findings)}
-        checks = []
-    else:
-        raise InvalidDocument(f"unknown experiment {args.experiment!r}")
-    return payload, checks, findings
+    ]
+    return payload, [], findings
+
+
+def cmd_probe_gencheeger(args):
+    names = [
+        name
+        for name, chain in corpus_chains()
+        if chain.graph.vertex_count <= args.max_vertices
+    ]
+    batches = _parallel_map(
+        _gencheeger_point, [(name, args.max_n, args.cap) for name in names], args.jobs
+    )
+    findings = [f for batch in batches for f in batch]
+    payload = {"experiment": "gencheeger", "findings_count": len(findings)}
+    return payload, [], findings
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +385,19 @@ def build_parser():
     p.set_defaults(fn=cmd_nohom)
 
     p = sub.add_parser("probe", help="experiment probes (findings, not assertions)")
-    p.add_argument("experiment", choices=["three-clique", "circulant", "gencheeger"])
-    p.add_argument("--sweep", type=_parse_range, default=(3, 3),
-                   help="three-clique block-size range A..B")
-    p.add_argument("--order", type=int, default=5)
-    p.add_argument("--connections", default="1")
-    p.add_argument("--max-n", type=int, default=None, dest="max_n")
-    p.add_argument("--max-vertices", type=int, default=6, dest="max_vertices")
-    p.set_defaults(fn=cmd_probe)
+    probes = p.add_subparsers(dest="experiment", required=True)
+    e = probes.add_parser("three-clique", help="iota_3 and hub mass of three-clique graphs")
+    e.add_argument("--sweep", type=_parse_range, default=(3, 3),
+                   help="block-size range A..B with A <= B")
+    e.set_defaults(fn=cmd_probe_three_clique)
+    e = probes.add_parser("circulant", help="supergeometric verdict of a circulant graph")
+    e.add_argument("--order", type=int, default=5)
+    e.add_argument("--connections", default="1")
+    e.set_defaults(fn=cmd_probe_circulant)
+    e = probes.add_parser("gencheeger", help="generalized Cheeger bounds on the corpus")
+    e.add_argument("--max-n", type=_max_n, default=None, dest="max_n")
+    e.add_argument("--max-vertices", type=int, default=6, dest="max_vertices")
+    e.set_defaults(fn=cmd_probe_gencheeger)
     return parser
 
 
@@ -407,12 +409,23 @@ def _jobs(text):
     return min(value, os.cpu_count() or 1)
 
 
+def _max_n(text):
+    """The gencheeger probe's largest n, at least 2: its hypothesis concerns f_2..f_n."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
+    return value
+
+
 def _parse_range(text):
+    """A nonempty integer range A..B (A <= B), or a single value A."""
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+        lo, hi = (int(x) for x in text.split("..", 1))
+    else:
+        lo = hi = int(text)
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}: {lo} > {hi}")
+    return lo, hi
 
 
 def _input_paths(args):

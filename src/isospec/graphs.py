@@ -73,9 +73,6 @@ class Graph:
     def undirected_edges(self):
         return self._edges
 
-    def undirected_neighbors(self, u):
-        return self._und_adj[u]
-
     def vertex_index(self, label):
         try:
             return self.labels.index(str(label))

@@ -222,6 +222,22 @@ def comparison_constants(chain_from, chain_to, witness):
     )
 
 
+def _transfer_factor(cc, part):
+    """The factor of part (a), (M^sigma / S_sigma) tau(G, H), or of part (b),
+    (M_sigma / S^sigma) / tau(H, G), from the extremes of `cc`."""
+    if part == "a":
+        return (
+            Fraction(cc.m_sup, cc.s_sigma)
+            * (cc.phibar_max_from * cc.pi_max_to)
+            / (cc.phibar_min_to * cc.pi_min_from)
+        )
+    return (
+        Fraction(cc.m_sigma, cc.s_sup)
+        * (cc.phibar_min_from * cc.pi_min_to)
+        / (cc.phibar_max_to * cc.pi_max_from)
+    )
+
+
 def comparison_check(chain_from, chain_to, witness, part="both", cap=DEFAULT_CAP):
     """Transfer bounds along an onto homomorphism.
 
@@ -255,11 +271,7 @@ def comparison_check(chain_from, chain_to, witness, part="both", cap=DEFAULT_CAP
     report = {"constants": cc, "part_a": None, "part_b": None, "unmet": unmet}
 
     if run_a:
-        factor = (
-            Fraction(cc.m_sup, cc.s_sigma)
-            * (cc.phibar_max_from * cc.pi_max_to)
-            / (cc.phibar_min_to * cc.pi_min_from)
-        )
+        factor = _transfer_factor(cc, "a")
         iotas_from = isoperimetric_table(chain_from, m, cap, "disjoint")
         iotas_to = isoperimetric_table(chain_to, m, cap, "disjoint")
         rows = []
@@ -284,11 +296,7 @@ def comparison_check(chain_from, chain_to, witness, part="both", cap=DEFAULT_CAP
         report["part_a"] = {"factor": factor, "rows": rows, "holds": ok}
 
     if run_b:
-        factor = (
-            Fraction(cc.m_sigma, cc.s_sup)
-            * (cc.phibar_min_from * cc.pi_min_to)
-            / (cc.phibar_max_to * cc.pi_max_from)
-        )
+        factor = _transfer_factor(cc, "b")
         rows = []
         ok = True
         for k in range(1, m + 1):
@@ -331,7 +339,7 @@ def courant_hilbert_check(chain_from, chain_to, witness, f, zeta, theorem):
         if dec.kappa_plus == 0:
             raise PreconditionUnmet("f has no positive sign-graph")
         lhs = spec_from.lambdas[dec.kappa_plus - 1]
-        rhs = float(Fraction(cc.m_sup, cc.s_sigma) * cc.tau_from_to) * float(zeta)
+        rhs = float(_transfer_factor(cc, "a")) * float(zeta)
         report.update({"lhs": lhs, "rhs": rhs, "holds": at_most(lhs, rhs)})
         return report
 
@@ -340,8 +348,7 @@ def courant_hilbert_check(chain_from, chain_to, witness, f, zeta, theorem):
             raise PreconditionUnmet("deficient transfer needs an edge-onto homomorphism")
         if not excessive_check(chain_to, f, zeta, "K_bar", "deficient"):
             raise PreconditionUnmet("f is not zeta-deficient for the target K_bar")
-        factor = float(Fraction(cc.m_sigma, cc.s_sup) / cc.tau_to_from)
-        rhs = factor * float(zeta)
+        rhs = float(_transfer_factor(cc, "b")) * float(zeta)
         if theorem == "deficient_a":
             if dec.kappa_plus == 0:
                 raise PreconditionUnmet("f has no positive sign-graph")

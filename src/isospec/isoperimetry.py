@@ -27,6 +27,7 @@ chain, the correctly rounded float on a float chain.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, lcm
@@ -673,10 +674,8 @@ def structural_inequalities_check(chain, reports, samples=200, rng=None):
     an exact chain, with float slack on a float chain.  Violations are returned
     as findings, not raised.
     """
-    import random as _random
-
     vcount = chain.graph.vertex_count
-    rng = rng or _random.Random(20240)
+    rng = rng or random.Random(20240)
     findings = []
 
     def record(name, ok, detail):

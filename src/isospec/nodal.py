@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from .calculus import (
     gradient_norm2_squared,
     inner_pi,
+    kernel_apply,
     laplacian_apply,
     restrict,
 )
@@ -34,6 +35,13 @@ class SignDecomposition:
     def kappa(self):
         return self.kappa_plus + self.kappa_minus
 
+    @property
+    def parts(self):
+        """(component, polarity) of every strong sign-graph, positive ones first."""
+        return tuple((c, "nonnegative") for c in self.positive_components) + tuple(
+            (c, "nonpositive") for c in self.negative_components
+        )
+
 
 def sign_decomposition(graph, f):
     """Strict-sign classification with components taken in the undirected view."""
@@ -52,18 +60,10 @@ def sign_decomposition(graph, f):
 
 def excessive_check(chain, f, zeta, operator="Delta", direction="excessive"):
     """Coordinatewise test of (op f) <= zeta f (excessive) or >= (deficient)."""
-    if operator == "K":
-        out = tuple(
-            sum(chain.kernel[u][v] * f[v] for v in range(len(f)))
-            for u in range(len(f))
-        )
-    elif operator == "K_bar":
-        out = tuple(
-            sum(chain.kbar[u][v] * f[v] for v in range(len(f)))
-            for u in range(len(f))
-        )
-    elif operator == "Delta":
+    if operator == "Delta":
         out = laplacian_apply(chain, f, "symmetric")
+    elif operator in ("K", "K_bar"):
+        out = kernel_apply(chain, f, "directed" if operator == "K" else "symmetric")
     else:
         raise ValueError(f"unknown operator {operator!r}")
     if direction == "excessive":
@@ -109,21 +109,20 @@ def rayleigh_quotient(chain, f):
 
 
 def duval_reiner_bound(chain, f, zeta, Q, direction="excessive"):
-    """Validate the hypotheses and check zeta >= Rayleigh(f restricted to Q).
+    """Check zeta >= Rayleigh(f restricted to Q) under the hypotheses of the
+    one-entry compatible set (zeta, f, Q).
 
     direction "excessive" pairs with a nonnegative bipolar part, "deficient"
-    with a nonpositive one.
+    with a nonpositive one.  Unmet hypotheses raise `PreconditionUnmet`.
     """
-    if not excessive_check(chain, f, zeta, "Delta", direction):
-        raise PreconditionUnmet(f"f is not {zeta}-{direction} for the symmetric Laplacian")
-    expected = "nonnegative" if direction == "excessive" else "nonpositive"
-    got = bipolar_part_check(chain.graph, f, Q)
-    if got != expected:
-        raise PreconditionUnmet(f"Q is classified {got}, needed {expected}")
-    g = restrict(f, Q)
-    if all(x == 0 for x in g):
-        raise PreconditionUnmet("f vanishes on Q")
-    quotient = rayleigh_quotient(chain, g)
+    polarity = {"excessive": "nonnegative", "deficient": "nonpositive"}.get(direction)
+    if polarity is None:
+        raise ValueError(f"unknown direction {direction!r}")
+    entry = CompatibleSet((zeta,), (f,), (frozenset(Q),), (polarity,))
+    problems = validate_compatible_set(chain, entry)
+    if problems:
+        raise PreconditionUnmet("; ".join(problems))
+    quotient = rayleigh_quotient(chain, restrict(f, Q))
     return {
         "zeta": zeta,
         "rayleigh": quotient,
@@ -208,21 +207,13 @@ def eigenfunction_compatible_set(chain, spectrum_report, k):
     """All strong sign-graphs of the k-th eigenfunction paired with its eigenvalue."""
     f = spectrum_report.eigenbasis[k - 1]
     lam = spectrum_report.lambdas[k - 1]
-    dec = sign_decomposition(chain.graph, f)
-    parts = []
-    polarity = []
-    for comp in dec.positive_components:
-        parts.append(comp)
-        polarity.append("nonnegative")
-    for comp in dec.negative_components:
-        parts.append(comp)
-        polarity.append("nonpositive")
+    parts = sign_decomposition(chain.graph, f).parts
     m = len(parts)
     return CompatibleSet(
         zetas=(lam,) * m,
         functions=(tuple(f),) * m,
-        parts=tuple(parts),
-        polarity=tuple(polarity),
+        parts=tuple(comp for comp, _ in parts),
+        polarity=tuple(pol for _, pol in parts),
     )
 
 
@@ -237,10 +228,7 @@ def compatible_set_search(chain, spectrum_report, n):
         raise ValueError(f"n must be in 2..{chain.graph.vertex_count}")
     candidates = []
     for k in range(2, n + 1):
-        f = spectrum_report.eigenbasis[k - 1]
-        dec = sign_decomposition(chain.graph, f)
-        opts = [(comp, "nonnegative") for comp in dec.positive_components]
-        opts += [(comp, "nonpositive") for comp in dec.negative_components]
+        opts = sign_decomposition(chain.graph, spectrum_report.eigenbasis[k - 1]).parts
         if not opts:
             return None
         candidates.append(opts)

@@ -13,6 +13,7 @@ from isospec.calculus import (
     gradient_norm2_squared,
     inner_phi,
     inner_pi,
+    kernel_apply,
     laplacian_apply,
     laplacian_matrix,
     negative_part,
@@ -118,6 +119,21 @@ def test_laplacian_annihilates_constants(p3, dicycle3):
         ones = (F(1),) * ch.graph.vertex_count
         assert laplacian_apply(ch, ones, "directed") == (F(0),) * ch.graph.vertex_count
         assert laplacian_apply(ch, ones, "symmetric") == (F(0),) * ch.graph.vertex_count
+
+
+def test_laplacian_is_f_minus_kernel_apply():
+    """K f and K_bar f are the row sums in vertex order, and (I - M) f is
+    f - M f from them, bit for bit on a float chain too."""
+    rng = random.Random(29)
+    for _ in range(20):
+        ch = rand_chain(rng)
+        f = rand_f(rng, ch.graph.vertex_count)
+        twin = build_chain(ch.graph, [[float(x) for x in row] for row in ch.kernel], exact=False)
+        for chain, g in ((ch, f), (twin, tuple(float(x) for x in f))):
+            for variant, mat in (("directed", chain.kernel), ("symmetric", chain.kbar)):
+                mg = kernel_apply(chain, g, variant)
+                assert mg == tuple(sum(row[v] * g[v] for v in range(len(g))) for row in mat)
+                assert laplacian_apply(chain, g, variant) == tuple(x - y for x, y in zip(g, mg))
 
 
 def test_c4_eigenfunction(c4):

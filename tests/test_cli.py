@@ -191,6 +191,53 @@ def test_probes_honour_cap():
     assert "exceeds the enumeration cap 4" in report["error"]
 
 
+@pytest.mark.parametrize("max_n", ["0", "1", "-1"])
+def test_probe_gencheeger_max_n_below_two_rejected(max_n, capsys):
+    argv = ["probe", "gencheeger", "--max-vertices", "3", "--max-n", max_n]
+    code, report = run(argv)
+    assert code == 2 and report is None
+    assert main(argv) == 2
+    assert "--max-n: must be at least 2" in capsys.readouterr().err
+
+
+def test_probe_gencheeger_max_n_clamps_per_chain():
+    code, report = run(["probe", "gencheeger", "--max-vertices", "3", "--max-n", "2"])
+    assert code == 0 and report["payload"]["findings_count"] == 4
+    # above every chain's vertex count: each chain stops at its own count
+    code, big = run(["probe", "gencheeger", "--max-vertices", "3", "--max-n", "9"])
+    _, unset = run(["probe", "gencheeger", "--max-vertices", "3"])
+    assert code == 0 and big["findings"] == unset["findings"]
+    assert big["payload"]["findings_count"] == 7
+
+
+@pytest.mark.parametrize("sweep", ["4..3", "3..", "x"])
+def test_probe_sweep_must_be_a_nonempty_range(sweep, capsys):
+    argv = ["probe", "three-clique", "--sweep", sweep]
+    assert run(argv) == (2, None)
+    assert main(argv) == 2
+    assert "--sweep" in capsys.readouterr().err
+
+
+def test_probe_sweep_single_value():
+    code, report = run(["probe", "three-clique", "--sweep", "2"])
+    assert code == 0
+    assert [p["block_size"] for p in report["payload"]["points"]] == [2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe", "circulant", "--order", "5", "--max-n", "3", "--sweep", "9..9"],
+    ["probe", "circulant", "--max-vertices", "4"],
+    ["probe", "three-clique", "--order", "5"],
+    ["probe", "three-clique", "--max-n", "3"],
+    ["probe", "gencheeger", "--sweep", "2..3"],
+    ["probe", "gencheeger", "--connections", "1,2"],
+])
+def test_probe_refuses_options_of_another_experiment(argv, capsys):
+    assert run(argv) == (2, None)
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_input_errors_exit_2(docs, tmp_path):
     code, report = run(["iso", "nope.graph", "-n", "2"])
     assert code == 2

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -242,6 +243,29 @@ def test_courant_hilbert_c6_coloring(c6, k2):
     assert out["holds"]
     out = courant_hilbert_check(c6, k2, w, f, F(-1), "deficient_b")
     assert out["holds"]
+
+
+def test_courant_hilbert_uses_the_comparison_factors():
+    """The transfer bounds of both checks share one factor per part, to the
+    last bit on float chains too."""
+    rng = random.Random(5)
+
+    def float_chain(g):
+        rows = []
+        for u in range(g.vertex_count):
+            w = [rng.randint(1, 9) if g.has_arc(u, v) else 0 for v in range(g.vertex_count)]
+            rows.append([x / sum(w) for x in w])
+        return build_chain(g, rows, exact=False)
+
+    f = (1.0, -1.0)
+    for _ in range(10):
+        src, dst = float_chain(cycle_graph(6)), float_chain(complete_graph(2))
+        w = validate_hom(src.graph, dst.graph, COLORING)
+        rep = comparison_check(src, dst, w)
+        out = courant_hilbert_check(src, dst, w, f, 2.0, "excessive")
+        assert out["rhs"] == float(rep["part_a"]["factor"]) * 2.0
+        out = courant_hilbert_check(src, dst, w, f, -1.0, "deficient_a")
+        assert out["rhs"] == float(rep["part_b"]["factor"]) * -1.0
 
 
 def test_courant_hilbert_rejects_unmet_hypotheses(c4, k2):

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from isospec.chains import natural_walk
+from isospec.calculus import laplacian_apply, restrict
+from isospec.chains import build_chain, natural_walk
 from isospec.errors import PreconditionUnmet
-from isospec.graphs import complete_graph, connected_graphs, cycle_graph
+from isospec.graphs import complete_graph, connected_graphs, cycle_graph, make_graph
 from isospec.isoperimetry import isoperimetric_constant, isoperimetric_table
 from isospec.nodal import (
     CompatibleSet,
@@ -17,10 +19,12 @@ from isospec.nodal import (
     eigenfunction_compatible_set,
     excessive_check,
     gen_cheeger_probe,
+    rayleigh_quotient,
     sign_decomposition,
     validate_compatible_set,
 )
 from isospec.spectral import SpectrumReport, spectrum
+from isospec.tolerance import at_most
 
 F = Fraction
 
@@ -42,6 +46,16 @@ def test_sign_decomposition_nonnegative(c4):
     assert dec.positive_components == (frozenset({0, 1, 3}),)
     dec2 = sign_decomposition(c4.graph, (F(1), F(0), F(3), F(0)))
     assert dec2.positive_components == (frozenset({0}), frozenset({2}))
+
+
+def test_sign_decomposition_parts(c4):
+    dec = sign_decomposition(c4.graph, ALT)
+    assert dec.parts == (
+        (frozenset({0}), "nonnegative"), (frozenset({2}), "nonnegative"),
+        (frozenset({1}), "nonpositive"), (frozenset({3}), "nonpositive"),
+    )
+    cs = eigenfunction_compatible_set(c4, spectrum(c4), 4)
+    assert tuple(zip(cs.parts, cs.polarity)) == sign_decomposition(c4.graph, cs.functions[0]).parts
 
 
 def test_float_zero_threshold(c4):
@@ -90,6 +104,83 @@ def test_duval_reiner_bound_rejects_bad_inputs(c4):
         duval_reiner_bound(c4, SAMPLE, F(1), {2})  # negative vertex, nonneg expected
     with pytest.raises(PreconditionUnmet):
         duval_reiner_bound(c4, SAMPLE, F(1), {1})  # f vanishes on Q
+
+
+def _float_twin(ch):
+    return build_chain(ch.graph, [[float(x) for x in row] for row in ch.kernel], exact=False)
+
+
+def test_duval_reiner_bound_refuses_float_noise_on_q(c4):
+    # f vanishes on Q = {1} but for 1e-12 of noise, below tolerance.ZERO: the
+    # float twin refuses it as the exact chain does, not a quotient of noise
+    with pytest.raises(PreconditionUnmet, match="vanishes on its part"):
+        duval_reiner_bound(_float_twin(c4), (1.0, 1e-12, -1.0, 0.0), 1.0, {1})
+    with pytest.raises(PreconditionUnmet, match="vanishes on its part"):
+        duval_reiner_bound(c4, SAMPLE, F(1), {1})
+
+
+def test_duval_reiner_bound_empty_part_and_unknown_direction(c4):
+    with pytest.raises(PreconditionUnmet, match="empty part"):
+        duval_reiner_bound(c4, SAMPLE, F(1), set())
+    with pytest.raises(ValueError, match="unknown direction"):
+        duval_reiner_bound(c4, SAMPLE, F(1), {0}, "sideways")
+
+
+@st.composite
+def small_chains(draw):
+    """A strongly connected digraph on 3..5 vertices (a Hamiltonian cycle plus
+    random arcs) with integer weights 1..3 per arc and 0..3 on the diagonal,
+    normalized per row."""
+    v = draw(st.integers(3, 5))
+    order = draw(st.permutations(range(v)))
+    arcs = {(order[i], order[(i + 1) % v]) for i in range(v)}
+    others = [(a, b) for a in range(v) for b in range(v) if a != b and (a, b) not in arcs]
+    arcs |= set(draw(st.lists(st.sampled_from(others), max_size=v)))
+    rows = []
+    for a in range(v):
+        w = [draw(st.integers(1, 3)) if (a, b) in arcs else 0 for b in range(v)]
+        w[a] = draw(st.integers(0, 3))
+        rows.append([F(x, sum(w)) for x in w])
+    return build_chain(make_graph(v, sorted(arcs)), rows)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(small_chains(), st.data())
+def test_duval_reiner_bound_matches_its_compatible_set(ch, data):
+    """On an exact chain and its float twin, duval_reiner_bound raises exactly
+    when the one-entry compatible set (zeta, f, Q) has problems, with those
+    problems as its message, and otherwise returns the Rayleigh quotient of f
+    on Q with the verdict quotient <= zeta."""
+    v = ch.graph.vertex_count
+    f = tuple(F(x) for x in data.draw(st.lists(st.integers(-2, 2), min_size=v, max_size=v)))
+    # Q is a strong sign-graph of f, its zero set, or any vertex set, the
+    # empty one included
+    dec = sign_decomposition(ch.graph, f)
+    components = dec.positive_components + dec.negative_components
+    q = data.draw(st.sampled_from(list(components) + [dec.zeros, None]))
+    if q is None:
+        q = frozenset(data.draw(st.sets(st.integers(0, v - 1), max_size=v)))
+    direction = data.draw(st.sampled_from(["excessive", "deficient"]))
+    polarity = "nonnegative" if direction == "excessive" else "nonpositive"
+    # the ratios (Delta f)(u) / f(u) are the zetas at which f turns excessive
+    # or deficient; the extreme ones first, so the draw reaches both outcomes
+    ratios = [d / x for d, x in zip(laplacian_apply(ch, f), f) if x != 0]
+    zeta = data.draw(st.sampled_from(sorted(ratios, reverse=direction == "excessive")
+                                     + [F(0), F(1), F(2)]))
+    # noise below tolerance.ZERO where f vanishes, on the float twin only
+    noise = data.draw(st.sampled_from([0.0, 1e-12]))
+    twin_f = tuple(float(x) if x else noise for x in f)
+    for chain, g, z in ((ch, f, zeta), (_float_twin(ch), twin_f, float(zeta))):
+        problems = validate_compatible_set(chain, CompatibleSet((z,), (g,), (q,), (polarity,)))
+        if problems:
+            with pytest.raises(PreconditionUnmet) as exc:
+                duval_reiner_bound(chain, g, z, q, direction)
+            assert str(exc.value) == "; ".join(problems)
+            continue
+        quotient = rayleigh_quotient(chain, restrict(g, q))
+        assert duval_reiner_bound(chain, g, z, q, direction) == {
+            "zeta": z, "rayleigh": quotient, "holds": at_most(quotient, z),
+        }
 
 
 def test_cheeger_lower_examples(c4, k3):
