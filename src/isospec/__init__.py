@@ -22,7 +22,6 @@ from .calculus import (
 from .chains import (
     MarkovChain,
     build_chain,
-    explicit_chain,
     lazy_max_degree_kernel,
     natural_walk,
     reversibilize,

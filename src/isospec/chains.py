@@ -5,9 +5,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import inf, isfinite, lcm
 
-from .errors import KernelError, NoNowherezeroStationary, ConvergenceError
+from .errors import KernelError, NoNowherezeroStationary
 from .graphs import Graph
-from .tolerance import INPUT, ROW_SUM, STATIONARY_RESIDUAL, is_exact
+from .tolerance import INPUT, ROW_SUM, is_exact
 
 
 class MarkovChain:
@@ -155,12 +155,22 @@ def _validate_kernel(graph, kernel, exact):
 
 
 def solve_stationary_exact(kernel):
-    """Left fixed vector of a rational kernel via Gaussian elimination on K^T - I.
+    """Left fixed vector of a kernel via Gaussian elimination on K^T - I, exact on
+    the values of its entries (a float is a dyadic rational), on both backends.
 
-    Requires a one-dimensional null space and an everywhere-positive solution.
+    A float row may miss a unit sum by up to ROW_SUM; such a row is divided by
+    its exact sum first, so the result is the stationary law of the
+    row-normalized kernel.  An exact kernel's rows sum to 1 and are used as they
+    are.  Requires a one-dimensional null space and an everywhere-positive
+    solution.
     """
     n = len(kernel)
-    m = [[Fraction(kernel[j][i]) - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    rows = []
+    for row in kernel:
+        row = [Fraction(x) for x in row]
+        total = sum(row)
+        rows.append(row if total == 1 else [x / total for x in row])
+    m = [[rows[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
     piv_rows = []
     piv_cols = []
     r = 0
@@ -196,31 +206,11 @@ def solve_stationary_exact(kernel):
     return tuple(x)
 
 
-def solve_stationary_float(kernel):
-    """Power iteration on the half-lazy kernel (K + I)/2, which shares pi with K."""
-    n = len(kernel)
-    x = [1.0 / n] * n
-    for _ in range(500000):
-        y = [0.0] * n
-        for u in range(n):
-            xu = x[u]
-            row = kernel[u]
-            for v in range(n):
-                y[v] += xu * row[v]
-        y = [0.5 * (a + b) for a, b in zip(x, y)]
-        s = sum(y)
-        y = [v / s for v in y]
-        resid = sum(abs(sum(y[u] * kernel[u][v] for u in range(n)) - y[v]) for v in range(n))
-        if resid < STATIONARY_RESIDUAL:
-            if any(v <= 0 for v in y):
-                raise NoNowherezeroStationary("stationary distribution has a nonpositive entry")
-            return tuple(y)
-        x = y
-    raise ConvergenceError("power iteration did not reach target residual", residual=resid)
-
-
 def build_chain(graph, kernel, exact=None, pi=None, uniform_pi_stationary=None):
-    """Validate a kernel on a graph and construct the chain, solving for pi if needed."""
+    """Validate a kernel on a graph and construct the chain, solving for pi if needed.
+
+    Both backends solve pi exactly; a float chain's pi is rounded once.
+    """
     kernel = tuple(tuple(row) for row in kernel)
     if exact is None:
         exact = is_exact(*(x for row in kernel for x in row))
@@ -231,10 +221,13 @@ def build_chain(graph, kernel, exact=None, pi=None, uniform_pi_stationary=None):
     _validate_kernel(graph, kernel, exact)
     if not _support_graph_strongly_connected(graph, kernel):
         raise NoNowherezeroStationary("kernel support graph is not strongly connected")
+    scalar = Fraction if exact else float
     if pi is None:
-        pi = solve_stationary_exact(kernel) if exact else solve_stationary_float(kernel)
+        pi = tuple(map(scalar, solve_stationary_exact(kernel)))
+        if not all(pi):
+            raise NoNowherezeroStationary("stationary distribution underflows to 0 as floats")
     else:
-        pi = tuple(Fraction(x) for x in pi) if exact else tuple(float(x) for x in pi)
+        pi = tuple(map(scalar, pi))
         _check_stationary(kernel, pi, exact)
     return MarkovChain(graph, kernel, pi, exact, uniform_pi_stationary)
 
@@ -295,10 +288,6 @@ def lazy_max_degree_kernel(graph):
         rows.append(tuple(row))
     uniform = all(sum(rows[u][v] for u in range(n)) == 1 for v in range(n))
     return build_chain(graph, rows, exact=True, uniform_pi_stationary=uniform)
-
-
-def explicit_chain(graph, matrix, exact=None):
-    return build_chain(graph, matrix, exact=exact)
 
 
 def reversibilize(chain):

@@ -338,8 +338,9 @@ def build_parser():
     )
     parser.add_argument("--json", action="store_true", help="emit the structured report")
     parser.add_argument("--out", metavar="FILE", help="write the report to FILE")
-    parser.add_argument("--exact", action="store_true", help="demand the exact rational backend")
-    parser.add_argument("--float", action="store_true", help="force the float backend")
+    backend = parser.add_mutually_exclusive_group()
+    backend.add_argument("--exact", action="store_true", help="demand the exact rational backend")
+    backend.add_argument("--float", action="store_true", help="force the float backend")
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP, help="enumeration cap on vertices")
     parser.add_argument("--jobs", type=_jobs, default=1,
                         help="parallel workers for sweeps (at most the CPU count)")
@@ -388,15 +389,15 @@ def build_parser():
     probes = p.add_subparsers(dest="experiment", required=True)
     e = probes.add_parser("three-clique", help="iota_3 and hub mass of three-clique graphs")
     e.add_argument("--sweep", type=_parse_range, default=(3, 3),
-                   help="block-size range A..B with A <= B")
+                   help="block-size range A..B with 1 <= A <= B")
     e.set_defaults(fn=cmd_probe_three_clique)
     e = probes.add_parser("circulant", help="supergeometric verdict of a circulant graph")
-    e.add_argument("--order", type=int, default=5)
+    e.add_argument("--order", type=_at_least_two, default=5)
     e.add_argument("--connections", default="1")
     e.set_defaults(fn=cmd_probe_circulant)
     e = probes.add_parser("gencheeger", help="generalized Cheeger bounds on the corpus")
-    e.add_argument("--max-n", type=_max_n, default=None, dest="max_n")
-    e.add_argument("--max-vertices", type=int, default=6, dest="max_vertices")
+    e.add_argument("--max-n", type=_at_least_two, default=None, dest="max_n")
+    e.add_argument("--max-vertices", type=_at_least_two, default=6, dest="max_vertices")
     e.set_defaults(fn=cmd_probe_gencheeger)
     return parser
 
@@ -409,8 +410,9 @@ def _jobs(text):
     return min(value, os.cpu_count() or 1)
 
 
-def _max_n(text):
-    """The gencheeger probe's largest n, at least 2: its hypothesis concerns f_2..f_n."""
+def _at_least_two(text):
+    """An integer of at least 2: a circulant's order, and the gencheeger probe's
+    largest vertex count and largest n (its hypothesis concerns f_2..f_n)."""
     value = int(text)
     if value < 2:
         raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
@@ -418,11 +420,13 @@ def _max_n(text):
 
 
 def _parse_range(text):
-    """A nonempty integer range A..B (A <= B), or a single value A."""
+    """A nonempty range A..B of block sizes (1 <= A <= B), or a single value A."""
     if ".." in text:
         lo, hi = (int(x) for x in text.split("..", 1))
     else:
         lo = hi = int(text)
+    if lo < 1:
+        raise argparse.ArgumentTypeError(f"block sizes must be at least 1, got {lo}")
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}: {lo} > {hi}")
     return lo, hi

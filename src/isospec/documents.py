@@ -72,7 +72,8 @@ def parse_chain(text, backend=None):
     """Parse a graph/kernel document into a validated MarkovChain.
 
     backend: None keeps rationals exact, "exact" demands rational entries,
-    "float" converts everything to floats.
+    "float" rounds an exact chain to floats: its kernel and its exact pi,
+    each entry once.
     """
     graph, spec = parse_graph(text)
     if spec is None:
@@ -95,17 +96,13 @@ def parse_chain(text, backend=None):
             raise InvalidDocument(f"explicit kernel needs an {n}x{n} 'matrix'")
         entries = [[parse_scalar(x) for x in row] for row in matrix]
         exact = all(isinstance(x, Fraction) for row in entries for x in row)
-        if backend == "float":
-            entries = [[float(x) for x in row] for row in entries]
-            exact = False
-        elif backend == "exact" and not exact:
+        if backend == "exact" and not exact:
             raise InvalidDocument("exact backend requested but kernel has float entries")
         chain = build_chain(graph, entries, exact=exact)
     else:
         raise InvalidDocument(f"unknown kernel type {ktype!r}")
     if backend == "float" and chain.exact:
-        kernel = [[float(x) for x in row] for row in chain.kernel]
-        chain = build_chain(graph, kernel, exact=False)
+        chain = build_chain(graph, chain.kernel, exact=False, pi=chain.pi)
     return chain
 
 

@@ -591,8 +591,8 @@ def proposition_bounds_check(chain, fam):
 
     Returns per-bound dicts with lhs (the min), rhs, and holds flags; lhs and
     rhs are rounded once on a float chain, and holds is `at_most(lhs, rhs)`:
-    exact on an exact chain, with float slack on a float chain, whose pi
-    conserves flow only up to the power iteration's residual.
+    exact on an exact chain, with float slack on a float chain, whose rounded
+    pi and phi conserve flow only up to their rounding.
     """
     out = {}
     for name, (lhs, rhs) in _merge_bounds(chain, fam.classes).items():

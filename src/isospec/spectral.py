@@ -157,10 +157,3 @@ def ky_fan_value(report, frame):
         df = laplacian_apply(chain, f)
         total += sum(a * b * p for a, b, p in zip(df, f, pi))
     return total / len(frame)
-
-
-def symmetric_eigenvalues(matrix):
-    """Sorted eigenvalues of a plain symmetric matrix (entries coerced to float)."""
-    mat = [[float(x) for x in row] for row in matrix]
-    eigvals, _, _ = jacobi_eigh(mat)
-    return tuple(sorted(eigvals))

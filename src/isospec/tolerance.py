@@ -10,7 +10,6 @@ from fractions import Fraction
 
 ROW_SUM = 1e-12              # a float kernel row may miss a unit sum by this
 INPUT = 1e-10                # a supplied float pi, a family's L1 norm, a frame's orthonormality
-STATIONARY_RESIDUAL = 1e-13  # the power iteration stops below this L1 residual of pi K - pi
 JACOBI_OFFDIAG = 1e-12       # the Jacobi sweeps stop below this off-diagonal norm
 ZERO = 1e-10                 # a float eigenvector entry this small has no sign
 CLUSTER = 1e-8               # eigenvalues this close are flagged degenerate

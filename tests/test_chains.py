@@ -1,8 +1,12 @@
+import itertools
+import json
+import math
 import random
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isospec.chains import (
     build_chain,
@@ -11,6 +15,7 @@ from isospec.chains import (
     reversibilize,
     solve_stationary_exact,
 )
+from isospec.documents import parse_chain
 from isospec.errors import KernelError, NoNowherezeroStationary
 from isospec.graphs import (
     complete_graph,
@@ -189,4 +194,106 @@ def test_float_backend_roundtrip():
          [0.0, 0.5, 0.0, 0.5], [0.5, 0.0, 0.5, 0.0]]
     ch = build_chain(g, K)
     assert not ch.exact
-    assert all(abs(p - 0.25) < 1e-12 for p in ch.pi)
+    assert ch.pi == (0.25,) * 4
+
+
+def tree_theorem_pi(kernel):
+    """The Markov chain tree theorem on the row-normalized exact values of a
+    kernel: pi_v is proportional to the sum, over the spanning arborescences
+    directed into v, of the product of their arc weights."""
+    rows = [[F(x) for x in row] for row in kernel]
+    q = [[x / sum(row) for x in row] for row in rows]
+    n = len(q)
+    weights = []
+    for root in range(n):
+        others = [u for u in range(n) if u != root]
+        choices = [[w for w in range(n) if w != u and q[u][w]] for u in others]
+        total = F(0)
+        for targets in itertools.product(*choices):
+            succ = dict(zip(others, targets))
+            if all(_reaches(succ, u, root) for u in others):
+                total += math.prod(q[u][succ[u]] for u in others)
+        weights.append(total)
+    return tuple(w / sum(weights) for w in weights)
+
+
+def _reaches(succ, u, root):
+    seen = set()
+    while u != root:
+        if u in seen:
+            return False
+        seen.add(u)
+        u = succ[u]
+    return True
+
+
+@st.composite
+def float_kernels(draw):
+    """A random strongly connected digraph on 2..6 vertices (a Hamiltonian cycle
+    plus random arcs) with float arc weights from 1e-9 to 10 and a diagonal of 0
+    or such a weight, each row divided by its float sum."""
+    v = draw(st.integers(2, 6))
+    order = draw(st.permutations(range(v)))
+    arcs = {(order[i], order[(i + 1) % v]) for i in range(v)}
+    others = [(a, b) for a in range(v) for b in range(v) if a != b and (a, b) not in arcs]
+    if others:
+        arcs |= set(draw(st.lists(st.sampled_from(others), max_size=2 * v)))
+    weight = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1, 10), st.integers(-9, 0))
+    rows = []
+    for a in range(v):
+        w = [draw(weight) if (a, b) in arcs else 0.0 for b in range(v)]
+        w[a] = draw(st.one_of(st.just(0.0), weight))
+        total = sum(w)
+        rows.append([x / total for x in w])
+    return make_graph(v, sorted(arcs)), rows
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(float_kernels())
+def test_float_pi_is_the_rounded_exact_law(case):
+    """A float kernel's pi is its exact law rounded once; under --float, a
+    natural, lazy or explicit rational document's pi is its exact pi rounded
+    once."""
+    graph, K = case
+    ch = build_chain(graph, K)
+    assert not ch.exact
+    law = tree_theorem_pi(K)
+    assert ch.pi == tuple(float(p) for p in law)
+    rows = [[F(x) for x in row] for row in K]
+    explicit = {"type": "explicit", "matrix": [[str(x / sum(row)) for x in row] for row in rows]}
+    for kernel in ({"type": "natural"}, {"type": "lazy"}, explicit):
+        text = json.dumps({"vertices": graph.vertex_count,
+                           "arcs": sorted(map(list, graph.arcs)), "kernel": kernel})
+        exact = parse_chain(text)
+        assert parse_chain(text, backend="float").pi == tuple(float(p) for p in exact.pi)
+    assert exact.pi == law  # the explicit document holds K, row-normalized
+
+
+def test_two_state_float_kernel_pi_is_correctly_rounded():
+    """The slowly mixing kernel [[1 - e, e], [2e, 1 - 2e]]: its pi is its exact
+    law rounded once, at e = 1e-4 and at e = 1e-6."""
+    g = make_graph(2, [(0, 1), (1, 0)])
+    eps = 1e-4
+    ch = build_chain(g, [[1 - eps, eps], [2 * eps, 1 - 2 * eps]])
+    assert ch.pi == (0.6666666666666666, 0.3333333333333333)
+    eps = 1e-6
+    K = [[1 - eps, eps], [2 * eps, 1 - 2 * eps]]
+    assert build_chain(g, K).pi == tuple(float(p) for p in tree_theorem_pi(K))
+
+
+def test_float_pi_below_the_float_range_rejected():
+    """pi_2 is about 1e-400 here: its rounding to 0.0 is refused, not divided by."""
+    g = make_graph(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
+    K = [[1.0, 1e-200, 0.0], [0.5, 0.5 - 1e-200, 1e-200], [0.0, 1.0, 0.0]]
+    with pytest.raises(NoNowherezeroStationary, match="underflows"):
+        build_chain(g, K)
+
+
+def test_exact_solver_matches_the_tree_theorem():
+    """On a float row that misses 1 (here 0.1 + 0.2 + 0.7, exactly) the solve is
+    the law of the row-normalized kernel; on an exact kernel, its law."""
+    assert sum(F(x) for x in (0.1, 0.2, 0.7)) != 1
+    K = [[0.1, 0.2, 0.7], [0.5, 0.0, 0.5], [0.25, 0.75, 0.0]]
+    assert solve_stationary_exact(K) == tree_theorem_pi(K)
+    exact = [[F(1, 10), F(1, 5), F(7, 10)], [F(1, 2), 0, F(1, 2)], [F(1, 4), F(3, 4), 0]]
+    assert solve_stationary_exact(exact) == tree_theorem_pi(exact)

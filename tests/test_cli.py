@@ -341,3 +341,66 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
     assert code == 0
     assert FakePool.sizes == [3]
     assert [p["block_size"] for p in report["payload"]["points"]] == [2, 3]
+
+
+@pytest.mark.parametrize("flags", [["--exact", "--float"], ["--float", "--exact"]])
+def test_backend_flags_exclude_each_other(docs, flags, capsys):
+    argv = flags + ["iso", docs["c4"], "-n", "2"]
+    assert run(argv) == (2, None)
+    assert main(argv) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe", "circulant", "--order", "0"],
+    ["probe", "circulant", "--order", "-2"],
+    ["probe", "circulant", "--order", "1"],
+    ["probe", "gencheeger", "--max-vertices", "0"],
+    ["probe", "gencheeger", "--max-vertices", "1"],
+    ["probe", "three-clique", "--sweep", "0..1"],
+    ["probe", "three-clique", "--sweep", "-2"],
+])
+def test_probe_options_below_their_minimum_rejected(argv, capsys):
+    assert run(argv) == (2, None)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[2]}: " in err and "must be at least" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["probe", "circulant", "--order", "2"],
+    ["probe", "gencheeger", "--max-vertices", "2"],
+    ["probe", "three-clique", "--sweep", "1"],
+])
+def test_probe_options_at_their_minimum_accepted(argv):
+    code, report = run(argv)
+    assert code == 0 and report["findings"]
+
+
+def two_state_document(tmp_path, matrix):
+    return write(tmp_path, "two_state.graph", {
+        "vertices": 2, "arcs": [[0, 1], [1, 0]],
+        "kernel": {"type": "explicit", "matrix": matrix},
+    })
+
+
+def test_float_iso_on_a_slowly_mixing_rational_kernel(tmp_path):
+    """K = [[1 - e, e], [2e, 1 - 2e]] with e = 1e-6: the float backend rounds
+    the exact law once, so no iteration can run out on a slowly mixing chain."""
+    path = two_state_document(tmp_path, [["999999/1000000", "1/1000000"],
+                                         ["1/500000", "499999/500000"]])
+    code, exact = run(["iso", path, "-n", "2"])
+    assert code == 0 and exact["payload"]["iota"] == F(3, 2000000)
+    code, report = run(["--float", "iso", path, "-n", "2"])
+    assert code == 0
+    assert report["payload"]["iota"] == pytest.approx(1.5e-6, rel=1e-15)
+
+
+def test_float_backend_refuses_a_rational_row_off_one(tmp_path):
+    """A rational row summing to 1 - 1e-15 exits 2 with or without --float."""
+    path = two_state_document(tmp_path, [["1/2", "499999999999999/1000000000000000"],
+                                         ["1/2", "1/2"]])
+    for backend in ([], ["--float"]):
+        code, report = run(backend + ["iso", path, "-n", "2"])
+        assert code == 2 and "row 0 sums to" in report["error"]

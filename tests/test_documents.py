@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from isospec.documents import format_scalar, parse_chain, parse_graph, parse_map, parse_scalar
-from isospec.errors import InvalidDocument, NoNowherezeroStationary
+from isospec.errors import InvalidDocument, KernelError, NoNowherezeroStationary
 
 F = Fraction
 
@@ -56,6 +56,22 @@ def test_float_backend_forces_conversion():
     ch = parse_chain(doc(vertices=2, arcs=[[0, 1], [1, 0]],
                          kernel={"type": "lazy"}), backend="float")
     assert not ch.exact
+
+
+def test_float_backend_keeps_the_exact_row_sum_check():
+    """A rational row that misses 1 is refused on both backends; a row of float
+    literals may miss 1 by up to ROW_SUM."""
+    rational = doc(vertices=2, arcs=[[0, 1], [1, 0]],
+                   kernel={"type": "explicit",
+                           "matrix": [["1/2", "499999999999999/1000000000000000"],
+                                      ["1/2", "1/2"]]})
+    for backend in (None, "float"):
+        with pytest.raises(KernelError, match="row 0 sums to"):
+            parse_chain(rational, backend=backend)
+    literal = doc(vertices=2, arcs=[[0, 1], [1, 0]],
+                  kernel={"type": "explicit", "matrix": [[0.5, 0.499999999999999], [0.5, 0.5]]})
+    for backend in (None, "float"):
+        assert not parse_chain(literal, backend=backend).exact
 
 
 def test_malformed_documents():
