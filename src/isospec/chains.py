@@ -15,13 +15,17 @@ class MarkovChain:
 
     Stores the induced flow phi(u,v) = K(u,v) pi(u), the additive
     reversibilization K_bar = (K + K*)/2 and its flow phi_bar.  In exact mode
-    every entry is a Fraction; otherwise floats.  Immutable after construction.
+    every entry is a Fraction; otherwise floats.  The public fields are never
+    changed after construction, so data derived from them (the spectrum, the
+    minimizer's results, kernel extremes) is computed once and memoized in the
+    private dict `_memo` by the functions that derive it; the memo lives as
+    long as the chain and never enters a report.
     """
 
     __slots__ = (
         "graph", "kernel", "pi", "exact", "uniform_pi_stationary",
         "phi", "kbar", "phibar",
-        "_pi_num", "_pi_den", "_phi_num", "_phi_den", "_out_num",
+        "_pi_num", "_pi_den", "_phi_num", "_phi_den", "_out_num", "_memo",
     )
 
     def __init__(self, graph, kernel, pi, exact, uniform_pi_stationary=None):
@@ -55,6 +59,7 @@ class MarkovChain:
         self._out_num = tuple(
             sum(self._phi_num[u][v] for v in range(n) if v != u) for u in range(n)
         )
+        self._memo = {}
 
     # -- cut functionals ---------------------------------------------------
 

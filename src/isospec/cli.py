@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import __version__
 from .chains import lazy_max_degree_kernel, natural_walk
-from .corpus import corpus_chains
+from .corpus import corpus_graphs
 from .documents import parse_chain, parse_graph, parse_map
 from .errors import IsospecError, InvalidDocument, CapExceeded
 from .graphs import circulant_graph, three_clique_graph
@@ -248,7 +248,7 @@ def _three_clique_point(item):
 
 def _gencheeger_point(item):
     name, max_n, cap = item
-    chain = dict(corpus_chains())[name]
+    chain = natural_walk(dict(corpus_graphs())[name])
     vcount = chain.graph.vertex_count
     spec = spectrum(chain)
     out = []
@@ -317,9 +317,7 @@ def cmd_probe_circulant(args):
 
 def cmd_probe_gencheeger(args):
     names = [
-        name
-        for name, chain in corpus_chains()
-        if chain.graph.vertex_count <= args.max_vertices
+        name for name, graph in corpus_graphs() if graph.vertex_count <= args.max_vertices
     ]
     batches = _parallel_map(
         _gencheeger_point, [(name, args.max_n, args.cap) for name in names], args.jobs

@@ -36,9 +36,10 @@ def corpus_graphs():
     return tuple(entries)
 
 
-@lru_cache(maxsize=None)
 def corpus_chains():
-    """Natural random walks on every corpus graph, in fixed order."""
+    """Natural random walks on every corpus graph, in fixed order: new chain
+    objects on every call, so the results memoized on one caller's chains
+    never answer another's."""
     return tuple((name, natural_walk(g)) for name, g in corpus_graphs())
 
 

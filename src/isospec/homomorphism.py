@@ -154,15 +154,28 @@ def no_hom_search(graph_from, graph_to, mode="vertex_onto", cap=10 ** 8):
 # Comparison constants
 # ---------------------------------------------------------------------------
 
-def _phibar_extremes(chain):
-    n = chain.graph.vertex_count
-    vals = [
-        chain.phibar[u][v]
-        for u in range(n)
-        for v in range(n)
-        if u != v and chain.phibar[u][v] != 0
-    ]
-    return max(vals), min(vals)
+def _kernel_extremes(chain, role):
+    """(max, min) of phi_bar over arcs between distinct vertices, then (max,
+    min) of pi, memoized on the chain.  Raises `PreconditionUnmet`, naming the
+    chain by `role`, when no flow runs between two distinct vertices (a
+    one-vertex chain)."""
+    extremes = chain._memo.get("kernel_extremes")
+    if extremes is None:
+        n = chain.graph.vertex_count
+        vals = [
+            chain.phibar[u][v]
+            for u in range(n)
+            for v in range(n)
+            if u != v and chain.phibar[u][v] != 0
+        ]
+        if not vals:
+            raise PreconditionUnmet(
+                f"the {role} chain has no flow between two distinct vertices"
+            )
+        extremes = chain._memo["kernel_extremes"] = (
+            max(vals), min(vals), max(chain.pi), min(chain.pi)
+        )
+    return extremes
 
 
 @dataclass(frozen=True)
@@ -198,21 +211,19 @@ def comparison_constants(chain_from, chain_to, witness):
     fiber_sizes = [0] * m
     for x in sigma:
         fiber_sizes[x] += 1
-    f_max, f_min = _phibar_extremes(chain_from)
-    t_max, t_min = _phibar_extremes(chain_to)
-    pi_from = chain_from.pi
-    pi_to = chain_to.pi
-    tau_from_to = (max(pi_to) / min(pi_from)) * (f_max / t_min)
-    tau_to_from = (max(pi_from) / min(pi_to)) * (t_max / f_min)
+    f_max, f_min, p_max_from, p_min_from = _kernel_extremes(chain_from, "source")
+    t_max, t_min, p_max_to, p_min_to = _kernel_extremes(chain_to, "target")
+    tau_from_to = (p_max_to / p_min_from) * (f_max / t_min)
+    tau_to_from = (p_max_from / p_min_to) * (t_max / f_min)
     return ComparisonConstants(
         m_sigma=min(counts.values()) if counts else 0,
         m_sup=max(counts.values()) if counts else 0,
         s_sigma=min(fiber_sizes),
         s_sup=max(fiber_sizes),
-        pi_max_from=max(pi_from),
-        pi_min_from=min(pi_from),
-        pi_max_to=max(pi_to),
-        pi_min_to=min(pi_to),
+        pi_max_from=p_max_from,
+        pi_min_from=p_min_from,
+        pi_max_to=p_max_to,
+        pi_min_to=p_min_to,
         phibar_max_from=f_max,
         phibar_min_from=f_min,
         phibar_max_to=t_max,
@@ -246,7 +257,10 @@ def comparison_check(chain_from, chain_to, witness, part="both", cap=DEFAULT_CAP
     factor = (M^sigma / S_sigma) (phibar^M_G pi^M_H) / (phibar^m_H pi^m_G).
     Part (b), edge-onto: lambda^G_{n-m+k} >= factor' * lambda^H_k with the
     dual factor.  Each comparison is `tolerance.at_most`: the iota ones are
-    exact on an exact chain, the eigenvalue ones carry the float slack.
+    exact on an exact chain, the eigenvalue ones carry the float slack.  Only
+    the factor depends on the map: the spectra, iota values and kernel
+    extremes are memoized on the chains, so a sweep over many maps of one pair
+    computes them once.
 
     A part asked for by name ("a" or "b") raises `PreconditionUnmet` when the
     map is not onto in its sense.  Under "both" such a part is reported as

@@ -3,10 +3,11 @@
 The n'th isoperimetric value of a chain is the minimum over families of n
 pairwise-disjoint nonempty vertex sets of the mean normalized outflow
 (1/n) sum_i boundary(Q_i)/pi(Q_i); the tilde variant restricts the minimum
-to partitions.  Minimization is exact.  Each top-level call builds one cut
-table of all 2^V vertex sets (the ratio of each set, from integer masses and
-outflows over fixed common denominators, as a Fraction and as a float, and
-the least ratio over the subsets of each set).  A branch-and-bound search over
+to partitions.  Minimization is exact, and its results are memoized on the
+chain.  A top-level call that misses the memo builds one cut table of all 2^V
+vertex sets (the ratio of each set, from integer masses and outflows over
+fixed common denominators, as a Fraction and as a float, and the least ratio
+over the subsets of each set).  A branch-and-bound search over
 canonical families cuts a branch when a float lower bound from that table,
 taken at an anchor, inside a class or at a class's close, exceeds the
 incumbent by more than a relative and absolute margin of 1e-9.  The float
@@ -30,6 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from math import inf, lcm
 
 from .errors import CapExceeded, InvalidFamily
@@ -286,43 +288,53 @@ def _check_cap(chain, cap):
 
 
 def _report(chain, n, mode, table):
-    """The report for one n from `table`, the chain's `cut_table`; the side
-    `mode` leaves out is None."""
-    iota = iota_tilde = witness = witness_tilde = None
-    examined = 0
-    if mode in ("disjoint", "both"):
-        iota, witness, k = _minimize(chain, n, "disjoint", table)
-        examined += k
-    if mode in ("partition", "both"):
-        iota_tilde, witness_tilde, k = _minimize(chain, n, "partition", table)
-        examined += k
-    return IsoperimetricReport(n, iota, iota_tilde, witness, witness_tilde, examined)
+    """The report for one n; the side `mode` leaves out is None.
+
+    Each side's (value, witness, leaves) is memoized on the chain, so
+    families_examined is the leaf count of the searches that produced the
+    memoized results.  `table()` gives the chain's cut table; it is called
+    only for a side that is not memoized yet.
+    """
+    memo = chain._memo
+    found = {}
+    for side in ("disjoint", "partition"):
+        if mode in (side, "both"):
+            key = ("iota", n, side)
+            if key not in memo:
+                memo[key] = _minimize(chain, n, side, table())
+            found[side] = memo[key]
+    iota, witness, leaves = found.get("disjoint", (None, None, 0))
+    iota_tilde, witness_tilde, leaves_tilde = found.get("partition", (None, None, 0))
+    return IsoperimetricReport(
+        n, iota, iota_tilde, witness, witness_tilde, leaves + leaves_tilde
+    )
 
 
 def isoperimetric_constant(chain, n, mode="both", cap=DEFAULT_CAP):
     """Exact iota_n / iota~_n with minimizing witnesses, from one cut table.
 
     mode selects which side is computed ("disjoint", "partition" or "both");
-    the unsolved side is reported as None.  For several n of one chain use
-    `isoperimetric_table`, which shares the cut table across them.
+    the unsolved side is reported as None.  Results are memoized on the chain.
+    For several n of one chain use `isoperimetric_table`, which shares the cut
+    table across them.
     """
     vcount = chain.graph.vertex_count
     if not 1 <= n <= vcount:
         raise ValueError(f"n must be in 1..{vcount}, got {n}")
     _check_cap(chain, cap)
-    return _report(chain, n, mode, cut_table(chain))
+    return _report(chain, n, mode, cache(partial(cut_table, chain)))
 
 
 def isoperimetric_table(chain, max_n=None, cap=DEFAULT_CAP, mode="both"):
-    """Reports for n = 1..max_n (default the vertex count), from one cut table;
-    `mode` is as in `isoperimetric_constant`."""
+    """Reports for n = 1..max_n (default the vertex count), from at most one
+    cut table; `mode` is as in `isoperimetric_constant`."""
     vcount = chain.graph.vertex_count
     if max_n is None:
         max_n = vcount
     _check_cap(chain, cap)
     if max_n > vcount:
         raise ValueError(f"n must be in 1..{vcount}, got {max_n}")
-    table = cut_table(chain)
+    table = cache(partial(cut_table, chain))   # built on the first memo miss, if any
     return tuple(_report(chain, n, mode, table) for n in range(1, max_n + 1))
 
 

@@ -96,7 +96,11 @@ class SpectrumReport:
 
 
 def spectrum(chain):
-    """Diagonalize Delta via the similarity Pi^(1/2) Delta Pi^(-1/2) and Jacobi sweeps."""
+    """Diagonalize Delta via the similarity Pi^(1/2) Delta Pi^(-1/2) and Jacobi
+    sweeps, once per chain: the report is memoized on the chain."""
+    report = chain._memo.get("spectrum")
+    if report is not None:
+        return report
     n = chain.graph.vertex_count
     pi = [float(p) for p in chain.pi]
     sqrt_pi = [math.sqrt(p) for p in pi]
@@ -128,7 +132,7 @@ def spectrum(chain):
         or (k + 1 < n and abs(lambdas[k + 1] - lambdas[k]) < CLUSTER)
         for k in range(n)
     )
-    return SpectrumReport(
+    report = chain._memo["spectrum"] = SpectrumReport(
         chain=chain,
         lambdas=lambdas,
         alphas=alphas,
@@ -137,6 +141,7 @@ def spectrum(chain):
         offdiag_residual=resid,
         degenerate=degenerate,
     )
+    return report
 
 
 def ky_fan_value(report, frame):

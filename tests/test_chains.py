@@ -15,6 +15,7 @@ from isospec.chains import (
     reversibilize,
     solve_stationary_exact,
 )
+from isospec.corpus import corpus_chains
 from isospec.documents import parse_chain
 from isospec.errors import KernelError, NoNowherezeroStationary
 from isospec.graphs import (
@@ -297,3 +298,13 @@ def test_exact_solver_matches_the_tree_theorem():
     assert solve_stationary_exact(K) == tree_theorem_pi(K)
     exact = [[F(1, 10), F(1, 5), F(7, 10)], [F(1, 2), 0, F(1, 2)], [F(1, 4), F(3, 4), 0]]
     assert solve_stationary_exact(exact) == tree_theorem_pi(exact)
+
+
+def test_corpus_chains_are_new_objects_per_call():
+    """Results memoized on a chain live as long as the chain, so each caller
+    of corpus_chains gets its own chains; the graphs are shared."""
+    first, second = corpus_chains(), corpus_chains()
+    assert [name for name, _ in first] == [name for name, _ in second]
+    for (_, a), (_, b) in zip(first, second):
+        assert a is not b and a.graph is b.graph
+        assert (a.kernel, a.pi) == (b.kernel, b.pi)

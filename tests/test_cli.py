@@ -120,6 +120,18 @@ def test_compare_both_on_vertex_onto_only_map(docs, tmp_path, capsys):
     assert "[SKIP] comparison part (b) needs an edge-onto homomorphism" in capsys.readouterr().out
 
 
+def test_compare_one_vertex_chain_is_an_unmet_precondition(tmp_path, capsys):
+    k1 = write(tmp_path, "k1.json", {"vertices": 1, "arcs": [[0, 0]]})
+    sigma = write(tmp_path, "m.json", {"map": {"0": "0"}})
+    for check in ("none", "a", "b", "both"):
+        argv = ["compare", k1, k1, "--map", sigma, "--check", check]
+        code, report = run(argv)
+        assert code == 2
+        assert report["error"] == "the source chain has no flow between two distinct vertices"
+        assert main(argv) == 2
+        assert "error: the source chain has no flow" in capsys.readouterr().err
+
+
 def test_compare_computes_constants_once(docs, monkeypatch):
     from isospec import cli, homomorphism
 

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from isospec import isoperimetry, spectral
 from isospec.chains import build_chain, natural_walk
 from isospec.errors import CapExceeded, PreconditionUnmet
 from isospec.graphs import (
@@ -199,6 +201,59 @@ def test_comparison_check_both_runs_the_applicable_part():
     assert rep["part_a"] == comparison_check(c8, c4, w, part="a")["part_a"]
     with pytest.raises(PreconditionUnmet):
         comparison_check(c8, c4, w, part="b")
+
+
+def _map_counts(graph, sigma):
+    """The four numbers through which a comparison report depends on its map:
+    the extremes of the fiber-pair arc counts and of the fiber sizes."""
+    arcs = Counter((sigma[u], sigma[v]) for u, v in graph.sdg_arcs())
+    sizes = Counter(sigma)
+    return min(arcs.values()), max(arcs.values()), min(sizes.values()), max(sizes.values())
+
+
+def test_comparison_sweep_computes_each_chain_once(monkeypatch):
+    """All 360 vertex-onto maps C10 -> C5 on one pair of chains: the two
+    spectra and the ten iota searches run once, and every report equals the
+    report on a fresh pair of chains of a map with the same fiber counts."""
+    g10, g5 = cycle_graph(10), cycle_graph(5)
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(isoperimetry, "_minimize", counting("minimize", isoperimetry._minimize))
+    monkeypatch.setattr(spectral, "jacobi_eigh", counting("jacobi", spectral.jacobi_eigh))
+    c10, c5 = natural_walk(g10), natural_walk(g5)
+    witnesses = list(onto_homomorphisms(g10, g5, "vertex_onto"))
+    reports = [comparison_check(c10, c5, w, "a") for w in witnesses]
+    assert len(witnesses) == 360
+    assert calls == {"minimize": 10, "jacobi": 2}
+
+    fresh = {}
+    for w, rep in zip(witnesses, reports):
+        key = _map_counts(g10, w.mapping)
+        if key not in fresh:
+            fresh[key] = comparison_check(natural_walk(g10), natural_walk(g5), w, "a")
+        assert rep == fresh[key], w.mapping
+    assert calls == {"minimize": 10 * (1 + len(fresh)), "jacobi": 2 * (1 + len(fresh))}
+
+
+def test_one_vertex_chain_has_no_comparison_constants(c4):
+    k1 = build_chain(make_graph(1, [(0, 0)]), [[1]])
+    w = validate_hom(k1.graph, k1.graph, (0,))
+    assert w.vertex_onto and w.edge_onto
+    with pytest.raises(PreconditionUnmet, match="source chain has no flow"):
+        comparison_constants(k1, k1, w)
+    for part in ("a", "b", "both"):
+        with pytest.raises(PreconditionUnmet, match="source chain has no flow"):
+            comparison_check(k1, k1, w, part)
+    w = validate_hom(c4.graph, k1.graph, (0, 0, 0, 0))
+    assert w.vertex_onto
+    with pytest.raises(PreconditionUnmet, match="target chain has no flow"):
+        comparison_check(c4, k1, w, "a")
 
 
 def test_soundness_over_corpus_pairs(c4, c6, k2, k3):

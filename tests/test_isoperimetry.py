@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import random
 import re
 from fractions import Fraction
@@ -37,6 +39,7 @@ from isospec.isoperimetry import (
     structural_inequalities_check,
     supergeometric_classify,
 )
+from isospec.spectral import spectrum
 from isospec.tolerance import at_most
 
 F = Fraction
@@ -272,6 +275,48 @@ def test_cap_enforced():
     ch = natural_walk(cycle_graph(5))
     with pytest.raises(CapExceeded):
         isoperimetric_constant(ch, 2, cap=4)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(rational_chains(3, 7), st.booleans(), st.data())
+def test_memoized_answers_match_a_fresh_chain(ch, as_float, data):
+    """A random sequence of iota and spectrum queries on one chain: each answer,
+    and the same answer asked again once every query has run, is bit-for-bit
+    the answer of a newly built chain (values, lexicographic witnesses,
+    families_examined, eigen-data), and the argument checks still raise."""
+    warm = _float_twin(ch) if as_float else ch
+    v = warm.graph.vertex_count
+
+    def fresh():
+        return build_chain(warm.graph, warm.kernel, exact=warm.exact)
+
+    asked = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        kind = data.draw(st.sampled_from(["constant", "table", "spectrum"]))
+        mode = data.draw(st.sampled_from(["disjoint", "partition", "both"]))
+        if kind == "constant":
+            n = data.draw(st.integers(1, v))
+            ask = functools.partial(isoperimetric_constant, n=n, mode=mode)
+        elif kind == "table":
+            max_n = data.draw(st.none() | st.integers(1, v))
+            ask = functools.partial(isoperimetric_table, max_n=max_n, mode=mode)
+        else:
+            def ask(c):
+                return dataclasses.replace(spectrum(c), chain=None)
+        expected = repr(ask(fresh()))
+        assert repr(ask(warm)) == expected
+        asked.append((ask, expected))
+    for ask, expected in reversed(asked):
+        assert repr(ask(warm)) == expected
+    with pytest.raises(CapExceeded):
+        isoperimetric_constant(warm, 1, cap=v - 1)
+    with pytest.raises(CapExceeded):
+        isoperimetric_table(warm, cap=v - 1)
+    for n in (0, v + 1):
+        with pytest.raises(ValueError):
+            isoperimetric_constant(warm, n)
+    with pytest.raises(ValueError):
+        isoperimetric_table(warm, v + 1)
 
 
 def test_classical_cheeger_values(k3, c4, dicycle3):
