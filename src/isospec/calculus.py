@@ -45,17 +45,22 @@ def gradient(chain, f, variant="directed"):
     raise ValueError(f"unknown gradient variant {variant!r}")
 
 
+def _arc_weights(chain, variant):
+    """phi_bar for the symmetric gradient, phi for the directed and classical ones."""
+    if variant not in ("directed", "classical", "symmetric"):
+        raise ValueError(f"unknown gradient variant {variant!r}")
+    return chain.phibar if variant == "symmetric" else chain.phi
+
+
 def grad_norm1(chain, F, variant="directed"):
     """L1 norm of an arc function under phi (directed/classical) or phi_bar (symmetric)."""
-    if variant == "symmetric":
-        return sum(abs(val) * chain.phibar[u][v] for (u, v), val in F.items())
-    return sum(abs(val) * chain.phi[u][v] for (u, v), val in F.items())
+    w = _arc_weights(chain, variant)
+    return sum(abs(val) * w[u][v] for (u, v), val in F.items())
 
 
 def grad_norm2_squared(chain, F, variant="directed"):
-    if variant == "symmetric":
-        return sum(val * val * chain.phibar[u][v] for (u, v), val in F.items())
-    return sum(val * val * chain.phi[u][v] for (u, v), val in F.items())
+    w = _arc_weights(chain, variant)
+    return sum(val * val * w[u][v] for (u, v), val in F.items())
 
 
 def gradient_norm1(chain, f, variant="directed"):
@@ -89,9 +94,16 @@ def inner_phi(chain, F, G):
 # Laplacians
 # ---------------------------------------------------------------------------
 
+def _operator(chain, variant):
+    """K for the directed variant, K_bar for the symmetric one."""
+    if variant not in ("directed", "symmetric"):
+        raise ValueError(f"unknown Laplacian variant {variant!r}")
+    return chain.kernel if variant == "directed" else chain.kbar
+
+
 def kernel_apply(chain, f, variant="symmetric"):
     """K f for the directed variant, K_bar f for the symmetric one."""
-    mat = chain.kernel if variant == "directed" else chain.kbar
+    mat = _operator(chain, variant)
     n = len(f)
     return tuple(sum(mat[u][v] * f[v] for v in range(n)) for u in range(n))
 
@@ -102,7 +114,7 @@ def laplacian_apply(chain, f, variant="symmetric"):
 
 
 def laplacian_matrix(chain, variant="symmetric"):
-    mat = chain.kernel if variant == "directed" else chain.kbar
+    mat = _operator(chain, variant)
     n = chain.graph.vertex_count
     one = chain.scalar(1, 1)
     return tuple(

@@ -23,18 +23,16 @@ class MarkovChain:
     """
 
     __slots__ = (
-        "graph", "kernel", "pi", "exact", "uniform_pi_stationary",
-        "phi", "kbar", "phibar",
+        "graph", "kernel", "pi", "exact", "phi", "kbar", "phibar",
         "_pi_num", "_pi_den", "_phi_num", "_phi_den", "_out_num", "_memo",
     )
 
-    def __init__(self, graph, kernel, pi, exact, uniform_pi_stationary=None):
+    def __init__(self, graph, kernel, pi, exact):
         n = graph.vertex_count
         self.graph = graph
         self.kernel = tuple(tuple(row) for row in kernel)
         self.pi = tuple(pi)
         self.exact = exact
-        self.uniform_pi_stationary = uniform_pi_stationary
 
         K, p = self.kernel, self.pi
         half = Fraction(1, 2) if exact else 0.5
@@ -60,6 +58,12 @@ class MarkovChain:
             sum(self._phi_num[u][v] for v in range(n) if v != u) for u in range(n)
         )
         self._memo = {}
+
+    @property
+    def uniform_pi_stationary(self):
+        """Whether the uniform law is stationary: pi is unique, so exactly when
+        every entry of pi is equal."""
+        return all(p == self.pi[0] for p in self.pi)
 
     # -- cut functionals ---------------------------------------------------
 
@@ -127,31 +131,18 @@ class MarkovChain:
         return f"MarkovChain({self.graph!r}, {mode})"
 
 
-def _support_graph_strongly_connected(graph, kernel):
-    n = graph.vertex_count
-    arcs = [
-        (u, v)
-        for u in range(n)
-        for v in range(n)
-        if u != v and kernel[u][v] != 0
-    ]
-    return graph.is_strongly_connected(arcs)
-
-
 def _validate_kernel(graph, kernel, exact):
     n = graph.vertex_count
     if len(kernel) != n or any(len(row) != n for row in kernel):
         raise KernelError(f"kernel must be {n}x{n}")
+    slack = 0 if exact else ROW_SUM
     for u in range(n):
         for v in range(n):
             if not exact and not isfinite(kernel[u][v]):
                 raise KernelError(f"non-finite kernel entry at ({u},{v})")
         row_sum = sum(kernel[u])
-        if exact:
-            if row_sum != 1:
-                raise KernelError(f"row {u} sums to {row_sum}, expected 1")
-        elif abs(row_sum - 1) > ROW_SUM:
-            raise KernelError(f"row {u} sums to {row_sum!r}, expected 1")
+        if abs(row_sum - 1) > slack:
+            raise KernelError(f"row {u} sums to {row_sum}, expected 1")
         for v in range(n):
             if kernel[u][v] < 0:
                 raise KernelError(f"negative kernel entry at ({u},{v})")
@@ -160,73 +151,67 @@ def _validate_kernel(graph, kernel, exact):
 
 
 def solve_stationary_exact(kernel):
-    """Left fixed vector of a kernel via Gaussian elimination on K^T - I, exact on
+    """The stationary law of a kernel by one fraction-free elimination, exact on
     the values of its entries (a float is a dyadic rational), on both backends.
 
-    A float row may miss a unit sum by up to ROW_SUM; such a row is divided by
-    its exact sum first, so the result is the stationary law of the
-    row-normalized kernel.  An exact kernel's rows sum to 1 and are used as they
-    are.  Requires a one-dimensional null space and an everywhere-positive
-    solution.
+    Row u is scaled to integers a[u] with exact sum s(u), so a float row that
+    misses 1 by up to ROW_SUM is read row-normalized.  With y(u) = pi(u) / s(u),
+    stationarity is y (diag(s) - A) = 0, whose last equation follows from the
+    others (the rows of diag(s) - A sum to 0).  The first n - 1, with y(n-1)
+    free, are solved by Bareiss elimination and integer back-substitution.
+    No pivoting is needed: for an irreducible kernel every proper principal
+    submatrix of I - K is a nonsingular M-matrix, so the pivots, the leading
+    principal minors of diag(s) - A, are positive.  A zero pivot or a
+    nonpositive entry of the law raises NoNowherezeroStationary, so a
+    reducible kernel is refused.
     """
     n = len(kernel)
-    rows = []
+    a = []
     for row in kernel:
-        row = [Fraction(x) for x in row]
-        total = sum(row)
-        rows.append(row if total == 1 else [x / total for x in row])
-    m = [[rows[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    piv_rows = []
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, n) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        piv_rows.append(r)
-        piv_cols.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in piv_cols]
-    if len(free) != 1:
-        raise NoNowherezeroStationary(
-            f"stationary distribution is not unique (null space dimension {len(free)})"
-        )
-    x = [Fraction(0)] * n
-    x[free[0]] = Fraction(1)
-    for row, col in zip(piv_rows, piv_cols):
-        x[col] = -m[row][free[0]]
-    total = sum(x)
-    if total == 0:
-        raise NoNowherezeroStationary("stationary solution has zero total mass")
-    x = [v / total for v in x]
-    if any(v <= 0 for v in x):
+        ratios = [x.as_integer_ratio() for x in row]
+        den = lcm(*(d for _, d in ratios))
+        a.append([num * (den // d) for num, d in ratios])
+    s = [sum(row) for row in a]
+    # equation v < n - 1, column u: the coefficient of y(u)
+    m = [[(s[u] if u == v else 0) - a[u][v] for u in range(n)] for v in range(n - 1)]
+    prev = 1
+    for k, pivot_row in enumerate(m):
+        pivot = pivot_row[k]
+        if not pivot:
+            raise NoNowherezeroStationary("zero pivot: the kernel is not irreducible")
+        for row in m[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
+        prev = pivot
+    # y(n-1) = the last pivot, the determinant of the system: by Cramer's rule
+    # every y(u) is then an integer, so each division below is exact
+    y = [0] * (n - 1) + [prev]
+    for k in reversed(range(n - 1)):
+        row = m[k]
+        y[k] = -sum(row[j] * y[j] for j in range(k + 1, n)) // row[k]
+    w = [yu * su for yu, su in zip(y, s)]
+    if any(x <= 0 for x in w):
         raise NoNowherezeroStationary("stationary distribution has a nonpositive entry")
-    return tuple(x)
+    total = sum(w)
+    return tuple(Fraction(x, total) for x in w)
 
 
-def build_chain(graph, kernel, exact=None, pi=None, uniform_pi_stationary=None):
+def build_chain(graph, kernel, pi=None):
     """Validate a kernel on a graph and construct the chain, solving for pi if needed.
 
-    Both backends solve pi exactly; a float chain's pi is rounded once.
+    The backend is read from the entries: exact when every one is rational,
+    else float.  Both backends solve pi exactly; a float chain's pi is rounded
+    once.  A supplied pi is checked for stationarity instead.
     """
     kernel = tuple(tuple(row) for row in kernel)
-    if exact is None:
-        exact = is_exact(*(x for row in kernel for x in row))
-    if exact:
-        kernel = tuple(tuple(Fraction(x) for x in row) for row in kernel)
-    else:
-        kernel = tuple(tuple(float(x) for x in row) for row in kernel)
-    _validate_kernel(graph, kernel, exact)
-    if not _support_graph_strongly_connected(graph, kernel):
-        raise NoNowherezeroStationary("kernel support graph is not strongly connected")
+    exact = is_exact(*(x for row in kernel for x in row))
     scalar = Fraction if exact else float
+    kernel = tuple(tuple(map(scalar, row)) for row in kernel)
+    _validate_kernel(graph, kernel, exact)
+    arcs = [(u, v) for u, row in enumerate(kernel) for v, x in enumerate(row) if u != v and x]
+    if not graph.is_strongly_connected(arcs):
+        raise NoNowherezeroStationary("kernel support graph is not strongly connected")
     if pi is None:
         pi = tuple(map(scalar, solve_stationary_exact(kernel)))
         if not all(pi):
@@ -234,20 +219,18 @@ def build_chain(graph, kernel, exact=None, pi=None, uniform_pi_stationary=None):
     else:
         pi = tuple(map(scalar, pi))
         _check_stationary(kernel, pi, exact)
-    return MarkovChain(graph, kernel, pi, exact, uniform_pi_stationary)
+    return MarkovChain(graph, kernel, pi, exact)
 
 
 def _check_stationary(kernel, pi, exact):
     n = len(kernel)
     if not all(0 < p < inf for p in pi):
         raise NoNowherezeroStationary("supplied pi has a nonpositive or non-finite entry")
+    slack = 0 if exact else INPUT
     total = sum(pi)
     for v in range(n):
         lhs = sum(pi[u] * kernel[u][v] for u in range(n))
-        if exact:
-            if lhs != pi[v] or total != 1:
-                raise NoNowherezeroStationary("supplied pi is not stationary")
-        elif abs(lhs - pi[v]) > INPUT or abs(total - 1) > INPUT:
+        if abs(lhs - pi[v]) > slack or abs(total - 1) > slack:
             raise NoNowherezeroStationary("supplied pi is not stationary")
 
 
@@ -263,15 +246,14 @@ def natural_walk(graph):
         for v in graph.out_neighbors(u):
             row[v] = Fraction(1, d)
         rows.append(tuple(row))
-    return build_chain(graph, rows, exact=True)
+    return build_chain(graph, rows)
 
 
 def lazy_max_degree_kernel(graph):
     """Max-out-degree lazy kernel: 1/d_max on non-loop arcs, remainder on the diagonal.
 
     The stationary distribution is solved, never assumed uniform; the
-    uniform_pi_stationary flag on the result records whether uniform would
-    have been stationary (true exactly when every column also sums to 1).
+    chain's uniform_pi_stationary tells whether it is.
     """
     n = graph.vertex_count
     dmax = graph.max_out_degree()
@@ -291,12 +273,11 @@ def lazy_max_degree_kernel(graph):
         if row[u] < 0:
             raise KernelError(f"vertex {u} out-degree exceeds the maximum")
         rows.append(tuple(row))
-    uniform = all(sum(rows[u][v] for u in range(n)) == 1 for v in range(n))
-    return build_chain(graph, rows, exact=True, uniform_pi_stationary=uniform)
+    return build_chain(graph, rows)
 
 
 def reversibilize(chain):
     """Chain with kernel K_bar on the symmetric base graph; pi is unchanged."""
     g = chain.graph
     base = Graph(g.labels, g.sdg_arcs())
-    return build_chain(base, chain.kbar, exact=chain.exact, pi=chain.pi)
+    return build_chain(base, chain.kbar, pi=chain.pi)

@@ -8,6 +8,7 @@ from fractions import Fraction
 from .chains import build_chain, lazy_max_degree_kernel, natural_walk
 from .errors import InvalidDocument
 from .graphs import make_graph
+from .tolerance import is_exact
 
 
 def parse_scalar(x):
@@ -95,14 +96,14 @@ def parse_chain(text, backend=None):
         ):
             raise InvalidDocument(f"explicit kernel needs an {n}x{n} 'matrix'")
         entries = [[parse_scalar(x) for x in row] for row in matrix]
-        exact = all(isinstance(x, Fraction) for row in entries for x in row)
-        if backend == "exact" and not exact:
+        if backend == "exact" and not is_exact(*(x for row in entries for x in row)):
             raise InvalidDocument("exact backend requested but kernel has float entries")
-        chain = build_chain(graph, entries, exact=exact)
+        chain = build_chain(graph, entries)
     else:
         raise InvalidDocument(f"unknown kernel type {ktype!r}")
     if backend == "float" and chain.exact:
-        chain = build_chain(graph, chain.kernel, exact=False, pi=chain.pi)
+        kernel = [list(map(float, row)) for row in chain.kernel]
+        chain = build_chain(graph, kernel, pi=list(map(float, chain.pi)))
     return chain
 
 

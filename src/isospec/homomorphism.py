@@ -265,8 +265,11 @@ def comparison_check(chain_from, chain_to, witness, part="both", cap=DEFAULT_CAP
     A part asked for by name ("a" or "b") raises `PreconditionUnmet` when the
     map is not onto in its sense.  Under "both" such a part is reported as
     None, its unmet precondition is listed in `report["unmet"]`, and
-    `PreconditionUnmet` is raised only when neither part applies.
+    `PreconditionUnmet` is raised only when neither part applies.  Any other
+    `part` raises `ValueError` before any work is done.
     """
+    if part not in ("a", "b", "both"):
+        raise ValueError(f"part must be 'a', 'b' or 'both', got {part!r}")
     run_a, run_b = part in ("a", "both"), part in ("b", "both")
     unmet = {}
     if run_a and not witness.vertex_onto:

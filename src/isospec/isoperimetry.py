@@ -279,8 +279,13 @@ def _members(mask):
     return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
-def _check_cap(chain, cap):
+def _check_query(chain, n, mode, cap):
+    """Refuse an n outside 1..V, an unknown mode and a chain over the cap."""
     vcount = chain.graph.vertex_count
+    if not 1 <= n <= vcount:
+        raise ValueError(f"n must be in 1..{vcount}, got {n}")
+    if mode not in ("disjoint", "partition", "both"):
+        raise ValueError(f"mode must be 'disjoint', 'partition' or 'both', got {mode!r}")
     if vcount > cap:
         raise CapExceeded(
             f"{vcount} vertices exceeds the enumeration cap {cap}; pass a larger cap"
@@ -318,22 +323,16 @@ def isoperimetric_constant(chain, n, mode="both", cap=DEFAULT_CAP):
     For several n of one chain use `isoperimetric_table`, which shares the cut
     table across them.
     """
-    vcount = chain.graph.vertex_count
-    if not 1 <= n <= vcount:
-        raise ValueError(f"n must be in 1..{vcount}, got {n}")
-    _check_cap(chain, cap)
+    _check_query(chain, n, mode, cap)
     return _report(chain, n, mode, cache(partial(cut_table, chain)))
 
 
 def isoperimetric_table(chain, max_n=None, cap=DEFAULT_CAP, mode="both"):
     """Reports for n = 1..max_n (default the vertex count), from at most one
     cut table; `mode` is as in `isoperimetric_constant`."""
-    vcount = chain.graph.vertex_count
     if max_n is None:
-        max_n = vcount
-    _check_cap(chain, cap)
-    if max_n > vcount:
-        raise ValueError(f"n must be in 1..{vcount}, got {max_n}")
+        max_n = chain.graph.vertex_count
+    _check_query(chain, max_n, mode, cap)
     table = cache(partial(cut_table, chain))   # built on the first memo miss, if any
     return tuple(_report(chain, n, mode, table) for n in range(1, max_n + 1))
 

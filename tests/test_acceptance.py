@@ -112,27 +112,43 @@ def brute_iota(chain, k):
 def eigenvalues_below(chain, q):
     """Exact count of the eigenvalues of I - K_bar strictly below the rational q.
 
-    Symmetric elimination of Pi(I - K_bar) - q*Pi = L D L^T in Fractions.  Pi is
-    positive definite, so by Sylvester's law of inertia the negative pivots of
-    D count the eigenvalues below q.  Returns None on a zero pivot (q is then
-    an eigenvalue of a leading block): the count is not decided there, and q
-    has to be chosen differently.
+    Pi(I - K_bar) - q*Pi is congruent to the symmetrization of I - K_bar - q,
+    so by Sylvester's law of inertia its negative eigenvalues count the
+    eigenvalues below q.  A symmetric elimination L D L^T in Fractions reads
+    them off D, with symmetric 1x1/2x2 pivoting as in Bunch and Kaufman
+    (1977); the arithmetic is exact, so a pivot only has to be nonzero.  A 1x1
+    pivot is any nonzero diagonal entry, and its sign counts.  When every
+    remaining diagonal entry is 0, a nonzero entry b off the diagonal gives the
+    2x2 pivot [[0, b], [b, 0]], with one negative eigenvalue; a remaining row
+    that is all 0 is a zero eigenvalue, q itself.
     """
     n = chain.graph.vertex_count
     m = [
         [(chain.pi[u] * (1 - q) if u == v else 0) - chain.phibar[u][v] for v in range(n)]
         for u in range(n)
     ]
+    rest = list(range(n))
     below = 0
-    for p in range(n):
-        pivot = m[p][p]
-        if pivot == 0:
-            return None
-        below += pivot < 0
-        for i in range(p + 1, n):
-            factor = m[i][p] / pivot
-            for j in range(p + 1, n):
-                m[i][j] -= factor * m[p][j]
+    while rest:
+        p = next((i for i in rest if m[i][i] != 0), None)
+        if p is not None:
+            rest.remove(p)
+            below += m[p][p] < 0
+            for i in rest:
+                factor = m[i][p] / m[p][p]
+                for j in rest:
+                    m[i][j] -= factor * m[p][j]
+            continue
+        p = rest.pop(0)
+        k = next((j for j in rest if m[p][j] != 0), None)
+        if k is None:
+            continue
+        rest.remove(k)
+        below += 1
+        b = m[p][k]
+        for i in rest:
+            for j in rest:
+                m[i][j] -= (m[i][p] * m[k][j] + m[i][k] * m[p][j]) / b
     return below
 
 
@@ -452,7 +468,7 @@ def reverify_violation(graph, viol):
         q = (F(viol["value"]) + F(viol["combinatorial"])) / 2
         below = eigenvalues_below(chain, q)
         base_below = eigenvalues_below(base, q)
-        holds = below == 1 and base_below is not None and base_below >= 2
+        holds = below == 1 and base_below >= 2
         return {"q": q, "below_q": below, "combinatorial_below_q": base_below, "holds": holds}
     k = int(viol["quantity"].split("_")[1])
     got = brute_iota(chain, k)
@@ -729,3 +745,36 @@ def test_criterion_10_determinism(acceptance):
             f"{timings['iota_tables_s']:.1f}s, spectra {timings['spectra_s']:.1f}s)",
             first == second)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# The inertia oracle itself
+# ---------------------------------------------------------------------------
+
+def test_eigenvalues_below_counts_c4_exactly():
+    """The C4 walk has eigenvalues 0, 1, 1, 2: the count is exact at points
+    that are not eigenvalues (1/4, 1/2, 3/2, 5/2) and at one that is (1).  On
+    K3 (0, 3/2, 3/2) at q = 1/2 every diagonal entry left after the first
+    pivot is 0, so the count needs a 2x2 pivot."""
+    c4 = natural_walk(cycle_graph(4))
+    qs = (F(1, 4), F(1, 2), F(1), F(3, 2), F(5, 2))
+    assert [eigenvalues_below(c4, q) for q in qs] == [1, 1, 1, 3, 4]
+    assert eigenvalues_below(natural_walk(complete_graph(3)), F(1, 2)) == 1
+
+
+def test_eigenvalues_below_matches_the_jacobi_spectrum():
+    """On random rational 3-6-vertex chains the exact count agrees with the
+    Jacobi spectrum at every sampled rational q at least 1e-6 from each
+    eigenvalue."""
+    rng = random.Random("eigenvalues-below")
+    checked = 0
+    for _ in range(60):
+        chain = rand_exact_chain(rng)
+        lambdas = spectrum(chain).lambdas
+        for _ in range(8):
+            q = F(rng.randint(-4, 40), 16)
+            if min(abs(q - lam) for lam in lambdas) < 1e-6:
+                continue
+            assert eigenvalues_below(chain, q) == sum(lam < q for lam in lambdas)
+            checked += 1
+    assert checked > 300

@@ -8,6 +8,8 @@ from isospec.calculus import (
     divergence,
     duval_reiner_sides,
     grad_adjoint_grad_matrix,
+    grad_norm1,
+    grad_norm2_squared,
     gradient,
     gradient_norm1,
     gradient_norm2_squared,
@@ -128,12 +130,48 @@ def test_laplacian_is_f_minus_kernel_apply():
     for _ in range(20):
         ch = rand_chain(rng)
         f = rand_f(rng, ch.graph.vertex_count)
-        twin = build_chain(ch.graph, [[float(x) for x in row] for row in ch.kernel], exact=False)
+        twin = build_chain(ch.graph, [[float(x) for x in row] for row in ch.kernel])
         for chain, g in ((ch, f), (twin, tuple(float(x) for x in f))):
             for variant, mat in (("directed", chain.kernel), ("symmetric", chain.kbar)):
                 mg = kernel_apply(chain, g, variant)
                 assert mg == tuple(sum(row[v] * g[v] for v in range(len(g))) for row in mat)
                 assert laplacian_apply(chain, g, variant) == tuple(x - y for x, y in zip(g, mg))
+
+
+BAD_OPERATOR_VARIANTS = ["classical", "Directed", "kbar", None]
+BAD_GRADIENT_VARIANTS = ["combinatorial", "Symmetric", "phi", None]
+
+
+@pytest.mark.parametrize("variant", BAD_OPERATOR_VARIANTS)
+def test_kernel_apply_rejects_unknown_variant(c4, variant):
+    with pytest.raises(ValueError, match="unknown Laplacian variant"):
+        kernel_apply(c4, SAMPLE, variant)
+
+
+@pytest.mark.parametrize("variant", BAD_OPERATOR_VARIANTS)
+def test_laplacian_apply_rejects_unknown_variant(c4, variant):
+    with pytest.raises(ValueError, match="unknown Laplacian variant"):
+        laplacian_apply(c4, SAMPLE, variant)
+
+
+@pytest.mark.parametrize("variant", BAD_OPERATOR_VARIANTS)
+def test_laplacian_matrix_rejects_unknown_variant(c4, variant):
+    with pytest.raises(ValueError, match="unknown Laplacian variant"):
+        laplacian_matrix(c4, variant)
+
+
+@pytest.mark.parametrize("variant", BAD_GRADIENT_VARIANTS)
+def test_grad_norm1_rejects_unknown_variant(c4, variant):
+    F_arc = gradient(c4, SAMPLE, "classical")
+    with pytest.raises(ValueError, match="unknown gradient variant"):
+        grad_norm1(c4, F_arc, variant)
+
+
+@pytest.mark.parametrize("variant", BAD_GRADIENT_VARIANTS)
+def test_grad_norm2_squared_rejects_unknown_variant(c4, variant):
+    F_arc = gradient(c4, SAMPLE, "classical")
+    with pytest.raises(ValueError, match="unknown gradient variant"):
+        grad_norm2_squared(c4, F_arc, variant)
 
 
 def test_c4_eigenfunction(c4):

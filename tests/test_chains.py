@@ -300,6 +300,56 @@ def test_exact_solver_matches_the_tree_theorem():
     assert solve_stationary_exact(exact) == tree_theorem_pi(exact)
 
 
+@st.composite
+def stochastic_kernels(draw):
+    """A random strongly connected kernel on 2..9 vertices: a Hamiltonian cycle
+    plus up to V more arcs, integer weights 1..9, a diagonal of 0 or such a
+    weight, each row divided by its sum in Fractions."""
+    v = draw(st.integers(2, 9))
+    order = draw(st.permutations(range(v)))
+    arcs = {(order[i], order[(i + 1) % v]) for i in range(v)}
+    others = [(a, b) for a in range(v) for b in range(v) if a != b and (a, b) not in arcs]
+    if others:
+        arcs |= set(draw(st.lists(st.sampled_from(others), max_size=v)))
+    rows = []
+    for a in range(v):
+        w = [draw(st.integers(1, 9)) if (a, b) in arcs else 0 for b in range(v)]
+        w[a] = draw(st.integers(0, 9))
+        rows.append([F(x, sum(w)) for x in w])
+    return rows
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(stochastic_kernels())
+def test_stationary_solve_matches_the_tree_theorem(K):
+    """The fraction-free solve is the tree-theorem law of the kernel, exact and
+    on its float twin, whose rows may miss 1 by their rounding."""
+    assert solve_stationary_exact(K) == tree_theorem_pi(K)
+    twin = [[float(x) for x in row] for row in K]
+    assert solve_stationary_exact(twin) == tree_theorem_pi(twin)
+
+
+@pytest.mark.parametrize("K", [
+    # two closed classes {0, 1} and {2, 3}
+    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+    # transient vertex 0 placed first, closed class {1, 2}
+    [[0, F(1, 2), F(1, 2)], [0, 0, 1], [0, 1, 0]],
+    # transient vertex 2 placed last, closed class {0, 1}
+    [[0, 1, 0], [1, 0, 0], [F(1, 2), F(1, 2), 0]],
+])
+def test_stationary_solve_refuses_reducible_kernels(K):
+    """Passed straight to the solver, past build_chain's connectivity check, a
+    reducible kernel is refused on both backends."""
+    for kernel in (K, [[float(x) for x in row] for row in K]):
+        with pytest.raises(NoNowherezeroStationary):
+            solve_stationary_exact(kernel)
+
+
+def test_uniform_pi_stationary_is_read_from_pi(p3, dicycle3):
+    assert dicycle3.uniform_pi_stationary is True
+    assert p3.uniform_pi_stationary is False
+
+
 def test_corpus_chains_are_new_objects_per_call():
     """Results memoized on a chain live as long as the chain, so each caller
     of corpus_chains gets its own chains; the graphs are shared."""

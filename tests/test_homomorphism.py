@@ -191,6 +191,17 @@ def test_comparison_check_preconditions(c4, k2):
             comparison_check(c4, natural_walk(p3), w, part=part)
 
 
+@pytest.mark.parametrize("part", ["A", "none", "", None])
+def test_comparison_check_unknown_part_rejected(part):
+    """An unknown part is refused before any work: a check that ran neither
+    part would report `holds: True` with nothing checked."""
+    c6, k2 = natural_walk(cycle_graph(6)), natural_walk(complete_graph(2))
+    w = validate_hom(c6.graph, k2.graph, COLORING)
+    with pytest.raises(ValueError, match="'a', 'b' or 'both'"):
+        comparison_check(c6, k2, w, part=part)
+    assert c6._memo == {} and k2._memo == {}
+
+
 def test_comparison_check_both_runs_the_applicable_part():
     c8, c4 = natural_walk(cycle_graph(8)), natural_walk(cycle_graph(4))
     w = validate_hom(c8.graph, c4.graph, C8_C4_VERTEX_ONLY)
@@ -310,7 +321,7 @@ def test_courant_hilbert_uses_the_comparison_factors():
         for u in range(g.vertex_count):
             w = [rng.randint(1, 9) if g.has_arc(u, v) else 0 for v in range(g.vertex_count)]
             rows.append([x / sum(w) for x in w])
-        return build_chain(g, rows, exact=False)
+        return build_chain(g, rows)
 
     f = (1.0, -1.0)
     for _ in range(10):

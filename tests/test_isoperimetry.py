@@ -132,7 +132,7 @@ def _first_minima(ch, n):
 
 
 def _float_twin(ch):
-    return build_chain(ch.graph, [[float(x) for x in row] for row in ch.kernel], exact=False)
+    return build_chain(ch.graph, [[float(x) for x in row] for row in ch.kernel])
 
 
 def _connected_graphs_6():
@@ -288,7 +288,7 @@ def test_memoized_answers_match_a_fresh_chain(ch, as_float, data):
     v = warm.graph.vertex_count
 
     def fresh():
-        return build_chain(warm.graph, warm.kernel, exact=warm.exact)
+        return build_chain(warm.graph, warm.kernel)
 
     asked = []
     for _ in range(data.draw(st.integers(1, 8))):
@@ -317,6 +317,36 @@ def test_memoized_answers_match_a_fresh_chain(ch, as_float, data):
             isoperimetric_constant(warm, n)
     with pytest.raises(ValueError):
         isoperimetric_table(warm, v + 1)
+
+
+def _bad_query_message(n, mode):
+    if mode not in ("disjoint", "partition", "both"):
+        return "mode must be 'disjoint', 'partition' or 'both'"
+    return re.escape(f"n must be in 1..4, got {n}")
+
+
+@pytest.mark.parametrize("n, mode", [
+    (2, "dijsoint"), (2, "partitions"), (2, None), (0, "both"), (5, "disjoint"),
+])
+def test_isoperimetric_constant_rejects_bad_arguments(n, mode):
+    """A bad n or mode raises before the memo is read, even on a chain whose
+    memo already holds every answer."""
+    ch = natural_walk(cycle_graph(4))
+    isoperimetric_table(ch)
+    with pytest.raises(ValueError, match=_bad_query_message(n, mode)):
+        isoperimetric_constant(ch, n, mode)
+
+
+@pytest.mark.parametrize("max_n, mode", [
+    (2, "partitions"), (None, "dijsoint"), (0, "both"), (-3, "both"), (5, "both"),
+])
+def test_isoperimetric_table_rejects_bad_arguments(max_n, mode):
+    """An empty or too long range of n, or an unknown mode, raises instead of
+    returning () or reports whose values are all None."""
+    ch = natural_walk(cycle_graph(4))
+    isoperimetric_table(ch)
+    with pytest.raises(ValueError, match=_bad_query_message(max_n, mode)):
+        isoperimetric_table(ch, max_n, mode=mode)
 
 
 def test_classical_cheeger_values(k3, c4, dicycle3):

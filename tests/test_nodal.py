@@ -107,7 +107,7 @@ def test_duval_reiner_bound_rejects_bad_inputs(c4):
 
 
 def _float_twin(ch):
-    return build_chain(ch.graph, [[float(x) for x in row] for row in ch.kernel], exact=False)
+    return build_chain(ch.graph, [[float(x) for x in row] for row in ch.kernel])
 
 
 def test_duval_reiner_bound_refuses_float_noise_on_q(c4):
