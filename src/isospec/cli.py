@@ -82,7 +82,7 @@ def cmd_spectrum(args):
 
 def cmd_iso(args):
     chain = _load_chain(args.graph, args)
-    rep = isoperimetric_constant(chain, args.n, args.mode, args.cap)
+    rep = isoperimetric_constant(chain, args.n, args.mode, cap=args.cap)
     payload = {"n": args.n, "mode": args.mode, "families_examined": rep.families_examined}
     if rep.iota is not None:
         payload["iota"] = rep.iota
@@ -107,7 +107,7 @@ def _supergeometric_rows(rep):
 
 def cmd_supergeometric(args):
     chain = _load_chain(args.graph, args)
-    rep = supergeometric_classify(chain, args.max_n, args.cap)
+    rep = supergeometric_classify(chain, args.max_n, cap=args.cap)
     payload = {
         "rows": _supergeometric_rows(rep),
         "supergeometric": rep.supergeometric,
@@ -119,7 +119,7 @@ def cmd_supergeometric(args):
 def cmd_cheeger(args):
     chain = _load_chain(args.graph, args)
     spec = spectrum(chain)
-    iso = isoperimetric_constant(chain, args.n, "both", args.cap)
+    iso = isoperimetric_constant(chain, args.n, "both", cap=args.cap)
     checks = [
         {
             "name": f"mean_lambda_{args.n} <= iota_{args.n}",
@@ -158,7 +158,7 @@ def cmd_nodal(args):
         raise InvalidDocument(f"--eigen must be in 1..{chain.graph.vertex_count}")
     f = spec.eigenbasis[k - 1]
     dec = sign_decomposition(chain.graph, f)
-    iso = isoperimetric_constant(chain, dec.kappa, "disjoint", args.cap)
+    iso = isoperimetric_constant(chain, dec.kappa, "disjoint", cap=args.cap)
     cs = eigenfunction_compatible_set(chain, spec, k)
     upper = cheeger_upper(chain, cs, iso)
     lam = spec.lambdas[k - 1]
@@ -202,7 +202,7 @@ def cmd_compare(args):
         if args.check == "none":
             payload["constants"] = comparison_constants(chain_from, chain_to, witness)
         else:
-            rep = comparison_check(chain_from, chain_to, witness, args.check, args.cap)
+            rep = comparison_check(chain_from, chain_to, witness, args.check, cap=args.cap)
             payload["constants"] = rep["constants"]
             payload["comparison"] = {
                 "part_a": rep["part_a"],
@@ -230,7 +230,7 @@ def cmd_nohom(args):
 def _three_clique_point(item):
     n, cap = item
     chain = natural_walk(three_clique_graph(n))
-    iso = isoperimetric_constant(chain, 3, "both", cap)
+    iso = isoperimetric_constant(chain, 3, "both", cap=cap)
     expected_hub = Fraction(1, n * n - n + 2)
     return {
         "block_size": n,
@@ -252,7 +252,7 @@ def _gencheeger_point(item):
     vcount = chain.graph.vertex_count
     spec = spectrum(chain)
     out = []
-    for iso in isoperimetric_table(chain, min(max_n or vcount, vcount), cap, "disjoint")[1:]:
+    for iso in isoperimetric_table(chain, min(max_n or vcount, vcount), "disjoint", cap=cap)[1:]:
         finding = gen_cheeger_probe(chain, iso.n, iso, spec)
         finding["chain"] = name
         out.append(finding)

@@ -30,14 +30,6 @@ def parse_scalar(x):
     raise InvalidDocument(f"bad scalar {x!r}")
 
 
-def format_scalar(x):
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, int):
-        return f"{x}/1"
-    return f"{float(x):.17g}"
-
-
 def _load_object(text, what):
     try:
         doc = json.loads(text)

@@ -249,7 +249,7 @@ def _transfer_factor(cc, part):
     )
 
 
-def comparison_check(chain_from, chain_to, witness, part="both", cap=DEFAULT_CAP):
+def comparison_check(chain_from, chain_to, witness, part="both", *, cap=DEFAULT_CAP):
     """Transfer bounds along an onto homomorphism.
 
     Part (a), vertex-onto: lambda^G_k <= factor * lambda^H_k and
@@ -289,8 +289,8 @@ def comparison_check(chain_from, chain_to, witness, part="both", cap=DEFAULT_CAP
 
     if run_a:
         factor = _transfer_factor(cc, "a")
-        iotas_from = isoperimetric_table(chain_from, m, cap, "disjoint")
-        iotas_to = isoperimetric_table(chain_to, m, cap, "disjoint")
+        iotas_from = isoperimetric_table(chain_from, m, "disjoint", cap=cap)
+        iotas_to = isoperimetric_table(chain_to, m, "disjoint", cap=cap)
         rows = []
         ok = True
         for k in range(1, m + 1):

@@ -5,25 +5,26 @@ pairwise-disjoint nonempty vertex sets of the mean normalized outflow
 (1/n) sum_i boundary(Q_i)/pi(Q_i); the tilde variant restricts the minimum
 to partitions.  Minimization is exact, and its results are memoized on the
 chain.  A top-level call that misses the memo builds one cut table of all 2^V
-vertex sets (the ratio of each set, from integer masses and outflows over
-fixed common denominators, as a Fraction and as a float, and the least ratio
-over the subsets of each set).  A branch-and-bound search over
-canonical families cuts a branch when a float lower bound from that table,
-taken at an anchor, inside a class or at a class's close, exceeds the
-incumbent by more than a relative and absolute margin of 1e-9.  The float
-error of a bound is below 1e-14 relative, so the margin never cuts a family
-that ties the optimum or beats it; the surviving families are compared exactly.
+vertex sets (each set's integer mass and outflow, its ratio as a correctly
+rounded float, and the least ratio over the subsets of each set).  A
+branch-and-bound search over canonical families cuts a branch when a float
+lower bound from that table, taken at an anchor, inside a class or at a
+class's close, exceeds the incumbent by more than a relative and absolute
+margin of 1e-9.  The float error of a bound is below 1e-14 relative, so the
+margin never cuts a family that ties the optimum or beats it; the surviving
+families are compared exactly.
 
 The minimizer, the positive-family layer (random families, the gradient
 objective, level-set rounding) and the cut functionals (family objective, the
 S/T merge bounds, the classical Cheeger constants) run on the chain's integer
 scales, pi = _pi_num / _pi_den and phi = _phi_num / _phi_den: a function is a
 vector of integer numerators over one common denominator, a vertex set's mass
-and outflow come from MarkovChain.cut_num, and ratios are compared by
-cross-multiplying.  The scales are exact on both backends (a float is a dyadic
-rational), so every question is decided on the chain's exact values, and a
-returned value is made once by MarkovChain.scalar: a Fraction on an exact
-chain, the correctly rounded float on a float chain.
+and outflow come from MarkovChain.cut_num, a sum of ratios is one integer pair
+(`_ratio_sum`), and ratios are compared by cross-multiplying.  The scales are
+exact on both backends (a float is a dyadic rational), so every question is
+decided on the chain's exact values, and a returned value is made once by
+MarkovChain.scalar: a Fraction on an exact chain, the correctly rounded float
+on a float chain.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import cache, partial
 from math import inf, lcm
 
 from .errors import CapExceeded, InvalidFamily
-from .graphs import SubsetFamily
+from .graphs import SubsetFamily, subset_family
 from .tolerance import INPUT, PRUNE_MARGIN, at_most
 
 DEFAULT_CAP = 14
@@ -55,10 +56,11 @@ class IsoperimetricReport:
 class PositiveOrthonormalFamily:
     """Nonzero nonnegative functions, pi-unit in L1, with pairwise disjoint supports.
 
-    `random_positive_family` and `characteristic_family` validate the family
-    they build once and keep its form (see `validate_positive_family`) for the
-    chain it was built on; `gamma_objective` and `level_set_rounding` reuse it.
-    A family built by hand is validated on every call.
+    `random_positive_family` and `characteristic_family` build a family from
+    its form (see `validate_positive_family`), valid by construction, and keep
+    it for the chain it was built on; `gamma_objective` and
+    `level_set_rounding` reuse it.  A family built by hand is validated on
+    every call.
     """
 
     functions: tuple
@@ -99,13 +101,20 @@ def enumerate_families(vcount, n, mode):
     yield from rec(0, 0)
 
 
-def family_objective(chain, fam):
-    """Mean normalized outflow of a subset family."""
-    num, den = 0, 1        # sum of the classes' boundary_num / pi_num
-    for cls in fam.classes:
-        mass, outflow = chain.cut_num(chain.vertex_mask(cls))
+def _ratio_sum(pairs):
+    """Sum of outflow / mass over (mass, outflow) pairs, as integers (num, den > 0)."""
+    num, den = 0, 1
+    for mass, outflow in pairs:
         num = num * mass + outflow * den
         den *= mass
+    return num, den
+
+
+def family_objective(chain, fam):
+    """Mean normalized outflow of a subset family."""
+    if not fam.classes:
+        raise InvalidFamily("family has no classes")
+    num, den = _ratio_sum(chain.cut_num(chain.vertex_mask(cls)) for cls in fam.classes)
     return chain.scalar(num * chain._pi_den, den * chain._phi_den * len(fam.classes))
 
 
@@ -117,13 +126,14 @@ def family_objective(chain, fam):
 class CutTable:
     """Cut values of every vertex set of a chain, indexed by bitmask.
 
-    ratio[S] is boundary(S)/pi(S) as a Fraction, exact on either backend;
-    ratio_f is its correctly rounded float and lb[S] the least ratio_f over
-    the nonempty subsets of S (lb[0] = inf).
+    (mass[S], boundary[S]) is `chain.cut_num(S)`, exact on either backend;
+    ratio_f[S] is boundary(S)/pi(S) correctly rounded and lb[S] the least
+    ratio_f over the nonempty subsets of S (the empty set has 0, 0, inf, inf).
     """
 
     vertex_count: int
-    ratio: list
+    mass: list
+    boundary: list
     ratio_f: list
     lb: list
 
@@ -157,17 +167,15 @@ def cut_table(chain):
     boundary_num = [o - i for o, i in zip(out_sum, inner)]
     pi_den = chain._pi_den
     phi_den = chain._phi_den
-    ratio = [None] + [
-        Fraction(boundary_num[s] * pi_den, pi_num[s] * phi_den) for s in range(1, size)
-    ]
-    ratio_f = [inf] + [float(r) for r in ratio[1:]]
+    # int true division rounds once, so a reduced fraction gives the same bits
+    ratio_f = [inf] + [b * pi_den / (m * phi_den) for m, b in zip(pi_num[1:], boundary_num[1:])]
     lb = list(ratio_f)
     for v in range(vcount):
         bit = 1 << v
         for s in range(size):
             if s & bit and lb[s ^ bit] < lb[s]:
                 lb[s] = lb[s ^ bit]
-    return CutTable(vcount, ratio, ratio_f, lb)
+    return CutTable(vcount, pi_num, boundary_num, ratio_f, lb)
 
 
 def _minimize(chain, n, mode, table):
@@ -189,17 +197,18 @@ def _minimize(chain, n, mode, table):
     The cutoff is the incumbent's float value inflated by PRUNE_MARGIN, both
     relative and absolute.  Each bound is a float image of a true lower bound,
     off by far less than that margin, so a family that ties the optimum or
-    beats it is never cut.  The surviving leaves are scored exactly (ratio sums
-    as Fractions) and ties go to the lexicographically smallest canonical
-    labelling; the minimum is rounded once by `chain.scalar`.
+    beats it is never cut.  The surviving leaves are scored exactly (integer
+    ratio sums by `_ratio_sum`) and ties go to the lexicographically smallest
+    canonical labelling; the minimum is rounded once by `chain.scalar`.
     """
     vcount = table.vertex_count
-    ratio = table.ratio
+    mass = table.mass
+    boundary = table.boundary
     ratio_f = table.ratio_f
     lb = table.lb
     partition = mode == "partition"
 
-    best_sum = None
+    best_num, best_den = 1, 0    # the incumbent's ratio sum; 1/0 before the first
     best_labels = None
     best_classes = None
     cutoff = inf
@@ -207,21 +216,21 @@ def _minimize(chain, n, mode, table):
     leaves = 0
 
     def finish(total_f):
-        nonlocal best_sum, best_labels, best_classes, cutoff, leaves
+        nonlocal best_num, best_den, best_labels, best_classes, cutoff, leaves
         leaves += 1
         if total_f > cutoff:
             return
-        total = sum(ratio[m] for m in classes)
-        if best_sum is not None and total > best_sum:
+        num, den = _ratio_sum((mass[m], boundary[m]) for m in classes)
+        if num * best_den > best_num * den:
             return
         labels = [0] * vcount
         for k, m in enumerate(classes, 1):
             for v in _members(m):
                 labels[v] = k
         labels = tuple(labels)
-        if best_sum is None or total < best_sum:
-            best_sum = total
-            f = float(total)
+        if num * best_den < best_num * den:
+            best_num, best_den = num, den
+            f = num * chain._pi_den / (den * chain._phi_den)
             cutoff = f + PRUNE_MARGIN * f + PRUNE_MARGIN
         elif labels >= best_labels:
             return
@@ -272,7 +281,7 @@ def _minimize(chain, n, mode, table):
 
     pick_class(1, (1 << vcount) - 1, 0.0)
     witness = SubsetFamily(tuple(frozenset(_members(m)) for m in best_classes), mode)
-    return chain.scalar(best_sum.numerator, best_sum.denominator * n), witness, leaves
+    return chain.scalar(best_num * chain._pi_den, best_den * chain._phi_den * n), witness, leaves
 
 
 def _members(mask):
@@ -315,7 +324,7 @@ def _report(chain, n, mode, table):
     )
 
 
-def isoperimetric_constant(chain, n, mode="both", cap=DEFAULT_CAP):
+def isoperimetric_constant(chain, n, mode="both", *, cap=DEFAULT_CAP):
     """Exact iota_n / iota~_n with minimizing witnesses, from one cut table.
 
     mode selects which side is computed ("disjoint", "partition" or "both");
@@ -327,7 +336,7 @@ def isoperimetric_constant(chain, n, mode="both", cap=DEFAULT_CAP):
     return _report(chain, n, mode, cache(partial(cut_table, chain)))
 
 
-def isoperimetric_table(chain, max_n=None, cap=DEFAULT_CAP, mode="both"):
+def isoperimetric_table(chain, max_n=None, mode="both", *, cap=DEFAULT_CAP):
     """Reports for n = 1..max_n (default the vertex count), from at most one
     cut table; `mode` is as in `isoperimetric_constant`."""
     if max_n is None:
@@ -381,7 +390,6 @@ def validate_positive_family(chain, fam):
     if not fam.functions:
         raise InvalidFamily("family has no functions")
     vcount = chain.graph.vertex_count
-    built = fam._form[1] if fam._form is not None and fam._form[0] is chain else None
     pi_num = chain._pi_num
     unit = chain._pi_den
     form = []
@@ -389,15 +397,12 @@ def validate_positive_family(chain, fam):
     for i, f in enumerate(fam.functions):
         if len(f) != vcount:
             raise InvalidFamily(f"function {i} has wrong length")
-        if built:
-            nums, den = built[i]
-        else:
-            try:
-                f = [Fraction(x) for x in f]
-            except (ValueError, OverflowError) as exc:
-                raise InvalidFamily(f"function {i} has a value that is not a finite number") from exc
-            den = lcm(*(x.denominator for x in f))
-            nums = tuple(x.numerator * (den // x.denominator) for x in f)
+        try:
+            f = [Fraction(x) for x in f]
+        except (ValueError, OverflowError) as exc:
+            raise InvalidFamily(f"function {i} has a value that is not a finite number") from exc
+        den = lcm(*(x.denominator for x in f))
+        nums = tuple(x.numerator * (den // x.denominator) for x in f)
         supp = 0
         mass = 0
         for v, x in enumerate(nums):
@@ -419,13 +424,17 @@ def validate_positive_family(chain, fam):
     return form
 
 
-def _built_family(chain, functions, form):
-    """A family of `functions` on `chain`, validated once and carrying its form:
-    `form`, their exact values, on an exact chain; on a float chain the form of
-    the rounded floats, so the family is exactly what its functions hold."""
-    fam = PositiveOrthonormalFamily(functions)
-    object.__setattr__(fam, "_form", (chain, form if chain.exact else None))
-    object.__setattr__(fam, "_form", (chain, validate_positive_family(chain, fam)))
+def _built_family(chain, form):
+    """The family of the values of `form` on `chain`, carrying `form` on an
+    exact chain; on a float chain the validated form of the rounded values, so
+    the family is exactly what its functions hold."""
+    zero = chain.scalar(0, 1)
+    fam = PositiveOrthonormalFamily(tuple(
+        tuple(chain.scalar(x, den) if x else zero for x in nums) for nums, den in form
+    ))
+    if not chain.exact:
+        form = validate_positive_family(chain, fam)
+    object.__setattr__(fam, "_form", (chain, form))
     return fam
 
 
@@ -499,22 +508,21 @@ def level_set_rounding(chain, fam):
 def characteristic_family(chain, fam):
     """The normalized indicator family chi_Q / pi(Q) over a subset family."""
     vcount = chain.graph.vertex_count
+    subset_family(fam.classes, fam.mode, vcount)   # refuses a malformed family
     unit = chain._pi_den
-    zero = chain.scalar(0, 1)
-    functions = []
     form = []
     for cls in fam.classes:
         mass = chain.cut_num(chain.vertex_mask(cls))[0]
-        value = chain.scalar(unit, mass)
-        functions.append(tuple(value if v in cls else zero for v in range(vcount)))
         form.append((tuple(unit if v in cls else 0 for v in range(vcount)), mass))
-    return _built_family(chain, tuple(functions), form)
+    return _built_family(chain, form)
 
 
 def _random_labels(vcount, n, rng, partition):
     """Class labels 1..n of a random support: class k is anchored at perm[k-1]
     of a random permutation, every other vertex draws its label uniformly from
     0..n (1..n for a partition), 0 meaning unassigned."""
+    if not 1 <= n <= vcount:
+        raise ValueError(f"n must be in 1..{vcount}, got {n}")
     perm = rng.sample(range(vcount), vcount)
     labels = [0] * vcount
     for k in range(n):
@@ -530,8 +538,6 @@ def random_positive_family(chain, n, rng, partition=False):
     positive rational values, L1-normalized per class."""
     vcount = chain.graph.vertex_count
     labels = _random_labels(vcount, n, rng, partition)
-    zero = chain.scalar(0, 1)
-    functions = []
     form = []
     for k in range(1, n + 1):
         drawn = [(v, rng.randint(1, 9), rng.randint(1, 9)) for v in range(vcount) if labels[v] == k]
@@ -543,9 +549,8 @@ def random_positive_family(chain, n, rng, partition=False):
         for v, a, b in drawn:
             nums[v] = a * (scale // b) * chain._pi_den
             mass += a * (scale // b) * chain._pi_num[v]
-        functions.append(tuple(chain.scalar(x, mass) if x else zero for x in nums))
         form.append((tuple(nums), mass))
-    return _built_family(chain, tuple(functions), form)
+    return _built_family(chain, form)
 
 
 def random_disjoint_family(chain, n, rng, partition=False):
@@ -567,7 +572,7 @@ class SupergeometricReport:
     max_n: int
 
 
-def supergeometric_classify(chain, max_n=None, cap=DEFAULT_CAP):
+def supergeometric_classify(chain, max_n=None, *, cap=DEFAULT_CAP):
     vcount = chain.graph.vertex_count
     if max_n is None:
         max_n = vcount
@@ -575,7 +580,7 @@ def supergeometric_classify(chain, max_n=None, cap=DEFAULT_CAP):
         raise ValueError(f"max_n must be in 2..{vcount}")
     rows = tuple(
         (rep.n, rep.iota, rep.iota_tilde, rep.iota == rep.iota_tilde)
-        for rep in isoperimetric_table(chain, max_n, cap)[1:]
+        for rep in isoperimetric_table(chain, max_n, cap=cap)[1:]
     )
     overall = all(r[3] for r in rows) if max_n == vcount else None
     return SupergeometricReport(rows, overall, max_n)
@@ -605,6 +610,8 @@ def proposition_bounds_check(chain, fam):
     exact on an exact chain, with float slack on a float chain, whose rounded
     pi and phi conserve flow only up to their rounding.
     """
+    if not fam.classes:
+        raise InvalidFamily("family has no classes")
     out = {}
     for name, (lhs, rhs) in _merge_bounds(chain, fam.classes).items():
         lhs, rhs = chain.scalar(*lhs), chain.scalar(*rhs)
@@ -633,9 +640,7 @@ def _merge_bounds(chain, classes):
     n = len(classes)
     masks = [chain.vertex_mask(c) for c in classes]
     cuts = [chain.cut_num(m) for m in masks]     # (pi_num, boundary_num)
-    total_num, total_den = 0, 1                  # R / c
-    for p, b in cuts:
-        total_num, total_den = total_num * p + b * total_den, total_den * p
+    total_num, total_den = _ratio_sum(cuts)      # R / c
     star = (1 << chain.graph.vertex_count) - 1
     for m in masks:
         star &= ~m

@@ -183,6 +183,13 @@ def test_comparison_check_identity(c4):
     assert rep["holds"]
 
 
+def test_comparison_check_cap_is_keyword_only(c4):
+    w = validate_hom(c4.graph, c4.graph, (0, 1, 2, 3))
+    with pytest.raises(TypeError):
+        comparison_check(c4, c4, w, "a", 14)
+    assert comparison_check(c4, c4, w, "a", cap=4)["holds"]
+
+
 def test_comparison_check_preconditions(c4, k2):
     p3 = make_graph(3, [(0, 1), (1, 2)], undirected=True)
     w = validate_hom(c4.graph, p3, (0, 1, 0, 1))

@@ -1,9 +1,11 @@
 import dataclasses
 import functools
+import inspect
 import random
 import re
 from fractions import Fraction
 from itertools import chain as chain_iter, combinations, permutations, product
+from math import inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from isospec.graphs import (
     complete_graph,
     connected_graphs,
     cycle_graph,
+    SubsetFamily,
     make_graph,
     path_graph,
     petersen_graph,
@@ -22,11 +25,13 @@ from isospec.graphs import (
     subset_family,
     three_clique_graph,
 )
+from isospec import isoperimetry
 from isospec.isoperimetry import (
     PositiveOrthonormalFamily,
     characteristic_family,
     classical_cheeger,
     complete_graph_reference,
+    cut_table,
     enumerate_families,
     family_objective,
     gamma_objective,
@@ -38,6 +43,7 @@ from isospec.isoperimetry import (
     random_positive_family,
     structural_inequalities_check,
     supergeometric_classify,
+    validate_positive_family,
 )
 from isospec.spectral import spectrum
 from isospec.tolerance import at_most
@@ -197,12 +203,13 @@ def test_minimizer_matches_brute_force():
 
 def _bitmask_minima(ch, n):
     """Bitmask brute force, independent of enumerate_families and of the cut
-    table: every family as class masks with increasing minima, scored with
-    MarkovChain.boundary_ratio, minimized over (value, labelling)."""
+    table: every family as class masks with increasing minima, scored as a
+    Fraction from MarkovChain.cut_num on the chain's own integer scales (exact
+    on both backends), minimized over (value, labelling)."""
     v = ch.graph.vertex_count
     full = (1 << v) - 1
     ratio = [None] + [
-        ch.boundary_ratio([u for u in range(v) if m >> u & 1]) for m in range(1, full + 1)
+        F(b * ch._pi_den, m * ch._phi_den) for m, b in map(ch.cut_num, range(1, full + 1))
     ]
     best = {}
 
@@ -242,17 +249,19 @@ def rational_chains(draw, lo=5, hi=7):
     """A random strongly connected digraph on lo..hi vertices (a Hamiltonian
     cycle plus random arcs) with integer weights 1..top per arc and 0..top on
     the diagonal, normalized per row.  With top = 1 the kernel is a natural or
-    lazy walk, whose symmetries make ties between families common."""
+    lazy walk, whose symmetries make ties between families common.  A
+    1-vertex chain has a positive loop weight."""
     v = draw(st.integers(lo, hi))
     order = draw(st.permutations(range(v)))
     arcs = {(order[i], order[(i + 1) % v]) for i in range(v)}
     others = [(a, b) for a in range(v) for b in range(v) if a != b and (a, b) not in arcs]
-    arcs |= set(draw(st.lists(st.sampled_from(others), max_size=2 * v)))
+    if others:
+        arcs |= set(draw(st.lists(st.sampled_from(others), max_size=2 * v)))
     top = draw(st.sampled_from([1, 9]))
     rows = []
     for a in range(v):
         w = [draw(st.integers(1, top)) if (a, b) in arcs else 0 for b in range(v)]
-        w[a] = draw(st.integers(0, top))
+        w[a] = draw(st.integers(0 if v > 1 else 1, top))
         rows.append([F(x, sum(w)) for x in w])
     return build_chain(make_graph(v, sorted(arcs)), rows)
 
@@ -266,15 +275,65 @@ def test_minimizer_matches_bitmask_brute_force(ch, data):
     for mode, got, wit in (("disjoint", rep.iota, rep.witness),
                            ("partition", rep.iota_tilde, rep.witness_tilde)):
         assert (got, wit.label_tuple(ch.graph.vertex_count)) == best[mode], mode
-    frep = isoperimetric_constant(_float_twin(ch), n)
-    assert abs(frep.iota - float(best["disjoint"][0])) <= 1e-12
-    assert abs(frep.iota_tilde - float(best["partition"][0])) <= 1e-12
+    twin = _float_twin(ch)
+    fbest = _bitmask_minima(twin, n)
+    frep = isoperimetric_constant(twin, n)
+    for mode, got, wit in (("disjoint", frep.iota, frep.witness),
+                           ("partition", frep.iota_tilde, frep.witness_tilde)):
+        value, labels = fbest[mode]
+        assert repr(got) == repr(float(value)), mode
+        assert wit.label_tuple(twin.graph.vertex_count) == labels, mode
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(rational_chains(1, 9))
+def test_cut_table_matches_cut_num(ch):
+    """On both backends each set's (mass, boundary) in the cut table is the
+    chain's cut_num, its ratio_f the correctly rounded boundary_ratio, and its
+    lb the least ratio_f over its nonempty subsets."""
+    for c in (ch, _float_twin(ch)):
+        v = c.graph.vertex_count
+        table = cut_table(c)
+        assert (table.mass[0], table.boundary[0], table.ratio_f[0], table.lb[0]) == (0, 0, inf, inf)
+        for s in range(1, 1 << v):
+            assert (table.mass[s], table.boundary[s]) == c.cut_num(s)
+            members = [u for u in range(v) if s >> u & 1]
+            assert repr(table.ratio_f[s]) == repr(float(c.boundary_ratio(members)))
+            sub, least = s, inf
+            while sub:
+                least = min(least, table.ratio_f[sub])
+                sub = (sub - 1) & s
+            assert table.lb[s] == least
+
+
+def test_cut_functions_build_no_fraction():
+    """The cut table, the minimizer and the cut functionals stay on the chain's
+    integer scales; a returned value is made by MarkovChain.scalar."""
+    names = ("cut_table", "_minimize", "_ratio_sum", "family_objective",
+             "gamma_objective", "level_set_rounding", "_merge_bounds")
+    found = [name for name in names if "Fraction(" in inspect.getsource(getattr(isoperimetry, name))]
+    assert not found, found
 
 
 def test_cap_enforced():
     ch = natural_walk(cycle_graph(5))
     with pytest.raises(CapExceeded):
         isoperimetric_constant(ch, 2, cap=4)
+
+
+def test_mode_is_positional_and_cap_keyword_only(c4):
+    """isoperimetric_table and isoperimetric_constant take (..., mode) in the
+    same place, and a cap passed by position is refused."""
+    fresh = natural_walk(cycle_graph(4))
+    assert isoperimetric_table(c4, 2, "disjoint") == isoperimetric_table(fresh, 2, mode="disjoint")
+    assert isoperimetric_constant(c4, 2, "disjoint") == isoperimetric_constant(fresh, 2, mode="disjoint")
+    for call in (
+        lambda: isoperimetric_table(c4, 2, "disjoint", 14),
+        lambda: isoperimetric_constant(c4, 2, "disjoint", 14),
+        lambda: supergeometric_classify(c4, 4, 14),
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -403,6 +462,52 @@ def test_gamma_objective_validation(c4):
             for fn in (gamma_objective, level_set_rounding):
                 with pytest.raises(InvalidFamily, match=re.escape(expected)):
                     fn(ch, fam)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 5])
+def test_random_families_refuse_n_out_of_range(c4, n):
+    for ch in (c4, _float_twin(c4)):
+        for draw in (random_disjoint_family, random_positive_family):
+            with pytest.raises(ValueError, match=re.escape(f"n must be in 1..4, got {n}")):
+                draw(ch, n, random.Random(1))
+
+
+@pytest.mark.parametrize("fn", [family_objective, proposition_bounds_check, characteristic_family])
+def test_family_with_no_classes_is_refused(c4, fn):
+    for ch in (c4, _float_twin(c4)):
+        with pytest.raises(InvalidFamily, match="family has no classes"):
+            fn(ch, SubsetFamily((), "disjoint"))
+
+
+def test_characteristic_family_refuses_overlapping_classes(c4):
+    fam = SubsetFamily((frozenset({0, 1}), frozenset({1, 2})), "disjoint")
+    for ch in (c4, _float_twin(c4)):
+        with pytest.raises(InvalidFamily, match="vertex 1 appears in two classes"):
+            characteristic_family(ch, fam)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(rational_chains(1, 9), st.data())
+def test_built_families_revalidate_to_their_form(ch, data):
+    """A family built by random_positive_family or characteristic_family,
+    exact or float, carries the form its plain functions validate to: the
+    same values, and the same gamma and level-set rounding."""
+    v = ch.graph.vertex_count
+    n = data.draw(st.integers(1, v))
+    partition = data.draw(st.booleans())
+    seed = data.draw(st.integers(0, 2 ** 32))
+    for c in (ch, _float_twin(ch)):
+        rng = random.Random(seed)
+        fams = [random_positive_family(c, n, rng, partition) for _ in range(3)]
+        fams += [characteristic_family(c, random_disjoint_family(c, n, rng, partition))
+                 for _ in range(3)]
+        for fam in fams:
+            plain = PositiveOrthonormalFamily(fam.functions)
+            assert fam._form[0] is c
+            assert [[F(x, d) for x in nums] for nums, d in fam._form[1]] == [
+                [F(x, d) for x in nums] for nums, d in validate_positive_family(c, plain)]
+            assert repr(gamma_objective(c, plain)) == repr(gamma_objective(c, fam))
+            assert level_set_rounding(c, plain) == level_set_rounding(c, fam)
 
 
 def test_random_families_dominate_iota(c4, p3):
