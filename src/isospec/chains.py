@@ -24,7 +24,7 @@ class MarkovChain:
 
     __slots__ = (
         "graph", "kernel", "pi", "exact", "phi", "kbar", "phibar",
-        "_pi_num", "_pi_den", "_phi_num", "_phi_den", "_out_num", "_memo",
+        "_den", "_pi_num", "_phi_num", "_out_num", "_memo",
     )
 
     def __init__(self, graph, kernel, pi, exact):
@@ -46,14 +46,14 @@ class MarkovChain:
             for u in range(n)
         )
 
-        # The cut functionals run on integer scales on both backends: a float is
-        # a dyadic rational, so the scales of a float chain hold its floats exactly.
+        # The cut functionals run on one integer unit, pi = _pi_num / _den and phi =
+        # _phi_num / _den, exact on both backends (a float is a dyadic rational).
+        # On an exact chain _den is phi's own denominator: pi(u) = sum_v phi(u, v).
         pi_q = [x.as_integer_ratio() for x in p]
         phi_q = [[x.as_integer_ratio() for x in row] for row in self.phi]
-        self._pi_den = pi_den = lcm(*(d for _, d in pi_q))
-        self._phi_den = phi_den = lcm(*(d for row in phi_q for _, d in row))
-        self._pi_num = tuple(a * (pi_den // d) for a, d in pi_q)
-        self._phi_num = tuple(tuple(a * (phi_den // d) for a, d in row) for row in phi_q)
+        self._den = den = lcm(*(d for _, d in pi_q), *(d for row in phi_q for _, d in row))
+        self._pi_num = tuple(a * (den // d) for a, d in pi_q)
+        self._phi_num = tuple(tuple(a * (den // d) for a, d in row) for row in phi_q)
         self._out_num = tuple(
             sum(self._phi_num[u][v] for v in range(n) if v != u) for u in range(n)
         )
@@ -82,9 +82,9 @@ class MarkovChain:
         return Fraction(num, den) if self.exact else num / den
 
     def cut_num(self, mask):
-        """(pi_num, boundary_num) of the nonempty vertex set `mask` on the chain's
-        integer scales: pi(Q) = pi_num / _pi_den, boundary(Q) = boundary_num / _phi_den.
-        Both are exact on either backend.
+        """(mass, boundary) of the nonempty vertex set `mask` as integers over the
+        chain's one denominator, exact on either backend: pi(Q) = mass / _den,
+        boundary(Q) = boundary / _den, and boundary / mass is the normalized outflow.
         """
         if not mask:
             raise ValueError("boundary of the empty set is undefined")
@@ -101,27 +101,25 @@ class MarkovChain:
 
     def pi_mass(self, subset):
         mask = self.vertex_mask(subset)
-        return self.scalar(self.cut_num(mask)[0], self._pi_den) if mask else 0
+        return self.scalar(self.cut_num(mask)[0], self._den) if mask else 0
 
     def directed_boundary(self, subset):
         """Total flow out of `subset`: sum of phi(u,v) over arcs leaving it."""
-        return self.scalar(self.cut_num(self.vertex_mask(subset))[1], self._phi_den)
+        return self.scalar(self.cut_num(self.vertex_mask(subset))[1], self._den)
 
     def inflow(self, subset):
-        q = set(subset)
-        if not q:
+        """Total flow into `subset`: sum of phi(v,u) over arcs entering it."""
+        mask = self.vertex_mask(subset)
+        if not mask:
             raise ValueError("inflow of the empty set is undefined")
-        total = 0
-        for u in q:
-            for v in self.graph.in_neighbors(u):
-                if v not in q:
-                    total += self.phi[v][u]
-        return total
+        members = [u for u in range(mask.bit_length()) if mask >> u & 1]
+        total = sum(row[u] for v, row in enumerate(self._phi_num) if not mask >> v & 1 for u in members)
+        return self.scalar(total, self._den)
 
     def boundary_ratio(self, subset):
         """Normalized outflow boundary(Q)/pi(Q)."""
         mass, outflow = self.cut_num(self.vertex_mask(subset))
-        return self.scalar(outflow * self._pi_den, mass * self._phi_den)
+        return self.scalar(outflow, mass)
 
     def trace(self):
         return sum(self.kernel[u][u] for u in range(self.graph.vertex_count))

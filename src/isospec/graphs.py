@@ -310,22 +310,34 @@ class SubsetFamily:
 
 def subset_family(classes, mode, vertex_count):
     """Validate and canonicalize a family of vertex subsets."""
+    sets = [frozenset(int(v) for v in cls) for cls in classes]
+    _class_masks(sets, mode, vertex_count)
+    return SubsetFamily(tuple(sorted(sets, key=min)), mode)
+
+
+def _class_masks(classes, mode, vertex_count):
+    """The bitmasks of a family's classes.  Refuses an unknown mode, no classes,
+    an empty class, a vertex out of range or in two classes, and a partition
+    that does not cover the vertex set."""
     if mode not in ("disjoint", "partition"):
         raise InvalidFamily(f"unknown family mode {mode!r}")
-    sets = [frozenset(int(v) for v in cls) for cls in classes]
-    if not sets:
+    if not classes:
         raise InvalidFamily("family has no classes")
-    seen = set()
-    for cls in sets:
-        if not cls:
-            raise InvalidFamily("empty class in family")
+    masks = []
+    seen = 0
+    for cls in classes:
+        mask = 0
         for v in cls:
             if not 0 <= v < vertex_count:
                 raise InvalidFamily(f"vertex {v} out of range")
-            if v in seen:
-                raise InvalidFamily(f"vertex {v} appears in two classes")
-            seen.add(v)
-    if mode == "partition" and len(seen) != vertex_count:
+            mask |= 1 << v
+        if not mask:
+            raise InvalidFamily("empty class in family")
+        if mask & seen:
+            low = mask & seen & -(mask & seen)
+            raise InvalidFamily(f"vertex {low.bit_length() - 1} appears in two classes")
+        seen |= mask
+        masks.append(mask)
+    if mode == "partition" and seen != (1 << vertex_count) - 1:
         raise InvalidFamily("partition does not cover the vertex set")
-    sets.sort(key=min)
-    return SubsetFamily(tuple(sets), mode)
+    return masks

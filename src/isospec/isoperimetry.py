@@ -16,15 +16,14 @@ families are compared exactly.
 
 The minimizer, the positive-family layer (random families, the gradient
 objective, level-set rounding) and the cut functionals (family objective, the
-S/T merge bounds, the classical Cheeger constants) run on the chain's integer
-scales, pi = _pi_num / _pi_den and phi = _phi_num / _phi_den: a function is a
-vector of integer numerators over one common denominator, a vertex set's mass
-and outflow come from MarkovChain.cut_num, a sum of ratios is one integer pair
-(`_ratio_sum`), and ratios are compared by cross-multiplying.  The scales are
+S/T merge bounds, the classical Cheeger constants) run on one integer unit,
+pi = _pi_num / _den and phi = _phi_num / _den, so a vertex set's ratio is the
+boundary / mass of MarkovChain.cut_num.  A function is a vector of integer
+numerators over one common denominator, a sum of ratios is one integer pair
+(`_ratio_sum`), and ratios are compared by cross-multiplying.  The unit is
 exact on both backends (a float is a dyadic rational), so every question is
 decided on the chain's exact values, and a returned value is made once by
-MarkovChain.scalar: a Fraction on an exact chain, the correctly rounded float
-on a float chain.
+MarkovChain.scalar: a Fraction on an exact chain, else the correctly rounded float.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from functools import cache, partial
 from math import inf, lcm
 
 from .errors import CapExceeded, InvalidFamily
-from .graphs import SubsetFamily, subset_family
+from .graphs import SubsetFamily, _class_masks
 from .tolerance import INPUT, PRUNE_MARGIN, at_most
 
 DEFAULT_CAP = 14
@@ -112,10 +111,9 @@ def _ratio_sum(pairs):
 
 def family_objective(chain, fam):
     """Mean normalized outflow of a subset family."""
-    if not fam.classes:
-        raise InvalidFamily("family has no classes")
-    num, den = _ratio_sum(chain.cut_num(chain.vertex_mask(cls)) for cls in fam.classes)
-    return chain.scalar(num * chain._pi_den, den * chain._phi_den * len(fam.classes))
+    masks = _class_masks(fam.classes, fam.mode, chain.graph.vertex_count)
+    num, den = _ratio_sum(map(chain.cut_num, masks))
+    return chain.scalar(num, den * len(masks))
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +163,8 @@ def cut_table(chain):
             out_sum[base | t] = out_sum[t] + oh
             inner[base | t] = inner[t] + cross[t]
     boundary_num = [o - i for o, i in zip(out_sum, inner)]
-    pi_den = chain._pi_den
-    phi_den = chain._phi_den
-    # int true division rounds once, so a reduced fraction gives the same bits
-    ratio_f = [inf] + [b * pi_den / (m * phi_den) for m, b in zip(pi_num[1:], boundary_num[1:])]
+    # int true division rounds once
+    ratio_f = [inf] + [b / m for m, b in zip(pi_num[1:], boundary_num[1:])]
     lb = list(ratio_f)
     for v in range(vcount):
         bit = 1 << v
@@ -230,7 +226,7 @@ def _minimize(chain, n, mode, table):
         labels = tuple(labels)
         if num * best_den < best_num * den:
             best_num, best_den = num, den
-            f = num * chain._pi_den / (den * chain._phi_den)
+            f = num / den
             cutoff = f + PRUNE_MARGIN * f + PRUNE_MARGIN
         elif labels >= best_labels:
             return
@@ -281,7 +277,7 @@ def _minimize(chain, n, mode, table):
 
     pick_class(1, (1 << vcount) - 1, 0.0)
     witness = SubsetFamily(tuple(frozenset(_members(m)) for m in best_classes), mode)
-    return chain.scalar(best_num * chain._pi_den, best_den * chain._phi_den * n), witness, leaves
+    return chain.scalar(best_num, best_den * n), witness, leaves
 
 
 def _members(mask):
@@ -358,17 +354,16 @@ def classical_cheeger(chain, version="mean"):
         raise ValueError("need at least two vertices")
     if vcount > 24:
         raise CapExceeded("classical_cheeger enumerates all cuts; graph too large")
-    pi_den = chain._pi_den
-    phi_den = chain._phi_den
+    unit = chain._den      # pi(Q) = mass / unit
     best = None            # (num, den) of the least value so far
     for mask in range(1, (1 << vcount) - 1):
         mass, bnd = chain.cut_num(mask)
         if version == "mean":
-            val = (bnd * pi_den * pi_den, 2 * phi_den * mass * (pi_den - mass))
+            val = (bnd * unit, 2 * mass * (unit - mass))
         elif version == "min":
-            if 2 * mass > pi_den:
+            if 2 * mass > unit:
                 continue
-            val = (bnd * pi_den, phi_den * mass)
+            val = (bnd, mass)
         else:
             raise ValueError(f"unknown version {version!r}")
         if best is None or val[0] * best[1] < best[0] * val[1]:
@@ -391,7 +386,7 @@ def validate_positive_family(chain, fam):
         raise InvalidFamily("family has no functions")
     vcount = chain.graph.vertex_count
     pi_num = chain._pi_num
-    unit = chain._pi_den
+    unit = chain._den
     form = []
     seen = 0
     for i, f in enumerate(fam.functions):
@@ -449,7 +444,7 @@ def gamma_objective(chain, fam):
     """Mean directed-gradient L1 norm of a validated positive-orthonormal family."""
     form = _family_form(chain, fam)
     n = len(form)
-    # sum over arcs uv of max(f(u) - f(v), 0) phi(u, v), with phi = phi_num / phi_den
+    # sum over arcs uv of max(f(u) - f(v), 0) phi(u, v), with phi = phi_num / _den
     flows = [
         [(v, w) for v, w in enumerate(row) if w and v != u]
         for u, row in enumerate(chain._phi_num)
@@ -464,7 +459,7 @@ def gamma_objective(chain, fam):
                         acc += (x - nums[v]) * w
         num = num * d + acc * den
         den *= d
-    return chain.scalar(num, den * chain._phi_den * n)
+    return chain.scalar(num, den * chain._den * n)
 
 
 def level_set_rounding(chain, fam):
@@ -495,7 +490,7 @@ def level_set_rounding(chain, fam):
                 osum += out_num[t]
                 j += 1
             b = osum - inner
-            # boundary / mass is b / psum up to the positive factor pi_den / phi_den
+            # boundary / mass is b / psum
             if best_set is None or b * best_p < best_b * psum:
                 best_b, best_p = b, psum
                 best_set = frozenset(members)
@@ -508,12 +503,9 @@ def level_set_rounding(chain, fam):
 def characteristic_family(chain, fam):
     """The normalized indicator family chi_Q / pi(Q) over a subset family."""
     vcount = chain.graph.vertex_count
-    subset_family(fam.classes, fam.mode, vcount)   # refuses a malformed family
-    unit = chain._pi_den
-    form = []
-    for cls in fam.classes:
-        mass = chain.cut_num(chain.vertex_mask(cls))[0]
-        form.append((tuple(unit if v in cls else 0 for v in range(vcount)), mass))
+    unit = chain._den      # chi_Q / pi(Q) = unit / mass on Q
+    form = [(tuple(unit if m >> v & 1 else 0 for v in range(vcount)), chain.cut_num(m)[0])
+            for m in _class_masks(fam.classes, fam.mode, vcount)]
     return _built_family(chain, form)
 
 
@@ -542,12 +534,12 @@ def random_positive_family(chain, n, rng, partition=False):
     for k in range(1, n + 1):
         drawn = [(v, rng.randint(1, 9), rng.randint(1, 9)) for v in range(vcount) if labels[v] == k]
         # the values a/b scaled by L = lcm(b) are integers g, and g / sum(g pi)
-        # is g * pi_den / sum(g pi_num)
+        # is g * _den / sum(g pi_num)
         scale = lcm(*(b for _, _, b in drawn))
         nums = [0] * vcount
         mass = 0
         for v, a, b in drawn:
-            nums[v] = a * (scale // b) * chain._pi_den
+            nums[v] = a * (scale // b) * chain._den
             mass += a * (scale // b) * chain._pi_num[v]
         form.append((tuple(nums), mass))
     return _built_family(chain, form)
@@ -610,16 +602,14 @@ def proposition_bounds_check(chain, fam):
     exact on an exact chain, with float slack on a float chain, whose rounded
     pi and phi conserve flow only up to their rounding.
     """
-    if not fam.classes:
-        raise InvalidFamily("family has no classes")
     out = {}
-    for name, (lhs, rhs) in _merge_bounds(chain, fam.classes).items():
+    for name, (lhs, rhs) in _merge_bounds(chain, fam).items():
         lhs, rhs = chain.scalar(*lhs), chain.scalar(*rhs)
         out[name] = {"lhs": lhs, "rhs": rhs, "holds": at_most(lhs, rhs)}
     return out
 
 
-def _merge_bounds(chain, classes):
+def _merge_bounds(chain, fam):
     """{"S": (lhs, rhs), "T": (lhs, rhs)}, T only for n >= 2, each side an
     integer pair (num, den) with den > 0.
 
@@ -631,16 +621,15 @@ def _merge_bounds(chain, classes):
     * T: lhs = (min_{j<k} [ratio(Q_j ∪ Q_k) - r_j - r_k] + R) / m,
       rhs = b / (m^2 (1 - p)) + (m-1) R / m^2, with m = n - 1.
 
-    Everything is done on the integer scales, so a ratio is boundary_num /
-    pi_num up to the common factor c = pi_den / phi_den; pairs (num, den)
-    are compared by cross-multiplying.
+    A ratio is boundary / mass from cut_num; p = star_p / D and b = star_b / D,
+    D the chain's unit, by which both parts of each rhs are multiplied.  Pairs
+    (num, den) are compared by cross-multiplying.
     """
-    pi_den = chain._pi_den
-    phi_den = chain._phi_den
-    n = len(classes)
-    masks = [chain.vertex_mask(c) for c in classes]
-    cuts = [chain.cut_num(m) for m in masks]     # (pi_num, boundary_num)
-    total_num, total_den = _ratio_sum(cuts)      # R / c
+    unit = chain._den
+    masks = _class_masks(fam.classes, fam.mode, chain.graph.vertex_count)
+    n = len(masks)
+    cuts = [chain.cut_num(m) for m in masks]     # (mass, boundary)
+    total_num, total_den = _ratio_sum(cuts)      # R
     star = (1 << chain.graph.vertex_count) - 1
     for m in masks:
         star &= ~m
@@ -651,15 +640,15 @@ def _merge_bounds(chain, classes):
         for x, y in candidates[1:]:
             if x * den < num * y:
                 num, den = x, y
-        return (num * total_den + total_num * den) * pi_den, den * total_den * phi_den * count
+        return num * total_den + total_num * den, den * total_den * count
 
     s_candidates = []
     for m, (p, b) in zip(masks, cuts):
         pm, bm = chain.cut_num(m | star)
         s_candidates.append((bm * p - b * pm, pm * p))
     s_rhs = (
-        ((n - 2) * star_b * total_den + (pi_den + (n - 2) * star_p) * total_num) * pi_den,
-        total_den * phi_den * n * (pi_den + (n - 1) * star_p),
+        (n - 2) * star_b * total_den + (unit + (n - 2) * star_p) * total_num,
+        total_den * n * (unit + (n - 1) * star_p),
     )
     out = {"S": (lhs(s_candidates, n), s_rhs)}
     if n >= 2:
@@ -672,8 +661,8 @@ def _merge_bounds(chain, classes):
                 pm, bm = chain.cut_num(masks[j] | masks[k])
                 t_candidates.append((bm * pj * pk - (bj * pk + bk * pj) * pm, pm * pj * pk))
         t_rhs = (
-            (star_b * total_den + (m - 1) * total_num * (pi_den - star_p)) * pi_den,
-            m * m * phi_den * (pi_den - star_p) * total_den,
+            star_b * total_den + (m - 1) * total_num * (unit - star_p),
+            m * m * (unit - star_p) * total_den,
         )
         out["T"] = (lhs(t_candidates, m), t_rhs)
     return out

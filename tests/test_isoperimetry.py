@@ -10,7 +10,7 @@ from math import inf
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isospec.chains import build_chain, lazy_max_degree_kernel, natural_walk
+from isospec.chains import MarkovChain, build_chain, lazy_max_degree_kernel, natural_walk
 from isospec.errors import CapExceeded, InvalidFamily
 from isospec.graphs import (
     complete_bipartite_graph,
@@ -204,13 +204,11 @@ def test_minimizer_matches_brute_force():
 def _bitmask_minima(ch, n):
     """Bitmask brute force, independent of enumerate_families and of the cut
     table: every family as class masks with increasing minima, scored as a
-    Fraction from MarkovChain.cut_num on the chain's own integer scales (exact
-    on both backends), minimized over (value, labelling)."""
+    Fraction from MarkovChain.cut_num, whose (mass, boundary) is exact on both
+    backends, minimized over (value, labelling)."""
     v = ch.graph.vertex_count
     full = (1 << v) - 1
-    ratio = [None] + [
-        F(b * ch._pi_den, m * ch._phi_den) for m, b in map(ch.cut_num, range(1, full + 1))
-    ]
+    ratio = [None] + [F(b, m) for m, b in map(ch.cut_num, range(1, full + 1))]
     best = {}
 
     def rec(classes, avail, mode):
@@ -306,12 +304,34 @@ def test_cut_table_matches_cut_num(ch):
             assert table.lb[s] == least
 
 
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(rational_chains(1, 9), st.data())
+def test_pi_and_phi_share_one_integer_unit(ch, data):
+    """On both backends _pi_num / _den and _phi_num / _den are exactly pi and
+    phi; on an exact chain pi(u) = sum_v phi(u, v) holds in the integers, and
+    inflow is the exact inflow, rounded once on a float chain."""
+    twin = _float_twin(ch)
+    for c in (ch, twin):
+        assert [F(x, c._den) for x in c._pi_num] == list(map(F, c.pi))
+        assert [[F(x, c._den) for x in row] for row in c._phi_num] == [
+            list(map(F, row)) for row in c.phi]
+    assert list(ch._pi_num) == [sum(row) for row in ch._phi_num]
+    v = ch.graph.vertex_count
+    for mask in data.draw(st.lists(st.integers(1, (1 << v) - 1), min_size=1, max_size=12)):
+        q = [u for u in range(v) if mask >> u & 1]
+        for c in (ch, twin):
+            exact = sum(F(c.phi[a][b]) for a in range(v) if not mask >> a & 1 for b in q)
+            assert repr(c.inflow(q)) == repr(c.scalar(exact.numerator, exact.denominator))
+
+
 def test_cut_functions_build_no_fraction():
     """The cut table, the minimizer and the cut functionals stay on the chain's
-    integer scales; a returned value is made by MarkovChain.scalar."""
+    integer unit; a returned value is made by MarkovChain.scalar."""
     names = ("cut_table", "_minimize", "_ratio_sum", "family_objective",
              "gamma_objective", "level_set_rounding", "_merge_bounds")
-    found = [name for name in names if "Fraction(" in inspect.getsource(getattr(isoperimetry, name))]
+    functions = [getattr(isoperimetry, name) for name in names]
+    functions += [MarkovChain.cut_num, MarkovChain.inflow]
+    found = [fn.__qualname__ for fn in functions if "Fraction(" in inspect.getsource(fn)]
     assert not found, found
 
 
@@ -484,6 +504,26 @@ def test_characteristic_family_refuses_overlapping_classes(c4):
     for ch in (c4, _float_twin(c4)):
         with pytest.raises(InvalidFamily, match="vertex 1 appears in two classes"):
             characteristic_family(ch, fam)
+
+
+@pytest.mark.parametrize("fn", [family_objective, proposition_bounds_check, characteristic_family])
+def test_malformed_subset_family_is_refused(c4, fn):
+    """A hand-built family that subset_family refuses is refused with the same
+    message by every consumer of a subset family, on both backends."""
+    bad = [
+        (({0, 1}, {1, 2}), "disjoint", "vertex 1 appears in two classes"),
+        (({0}, set()), "disjoint", "empty class in family"),
+        (({0}, {4}), "disjoint", "vertex 4 out of range"),
+        (({-1}, {2}), "disjoint", "vertex -1 out of range"),
+        (({0, 1}, {2}), "partition", "partition does not cover the vertex set"),
+        (({0}, {2}), "cover", "unknown family mode 'cover'"),
+    ]
+    for classes, mode, message in bad:
+        with pytest.raises(InvalidFamily, match=re.escape(message)):
+            subset_family(classes, mode, 4)
+        for ch in (c4, _float_twin(c4)):
+            with pytest.raises(InvalidFamily, match=re.escape(message)):
+                fn(ch, SubsetFamily(tuple(map(frozenset, classes)), mode))
 
 
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
