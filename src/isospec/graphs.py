@@ -333,9 +333,9 @@ def _class_masks(classes, mode, vertex_count):
             mask |= 1 << v
         if not mask:
             raise InvalidFamily("empty class in family")
-        if mask & seen:
-            low = mask & seen & -(mask & seen)
-            raise InvalidFamily(f"vertex {low.bit_length() - 1} appears in two classes")
+        shared = mask & seen
+        if shared:
+            raise InvalidFamily(f"vertex {(shared & -shared).bit_length() - 1} appears in two classes")
         seen |= mask
         masks.append(mask)
     if mode == "partition" and seen != (1 << vertex_count) - 1:

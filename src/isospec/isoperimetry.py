@@ -621,8 +621,8 @@ def _merge_bounds(chain, fam):
     * T: lhs = (min_{j<k} [ratio(Q_j ∪ Q_k) - r_j - r_k] + R) / m,
       rhs = b / (m^2 (1 - p)) + (m-1) R / m^2, with m = n - 1.
 
-    A ratio is boundary / mass from cut_num; p = star_p / D and b = star_b / D,
-    D the chain's unit, by which both parts of each rhs are multiplied.  Pairs
+    A ratio is boundary / mass from cut_num; p = star_p / unit and b =
+    star_b / unit, and both parts of each rhs are multiplied by unit.  Pairs
     (num, den) are compared by cross-multiplying.
     """
     unit = chain._den
