@@ -17,9 +17,9 @@ class MarkovChain:
     reversibilization K_bar = (K + K*)/2 and its flow phi_bar.  In exact mode
     every entry is a Fraction; otherwise floats.  The public fields are never
     changed after construction, so data derived from them (the spectrum, the
-    minimizer's results, kernel extremes) is computed once and memoized in the
-    private dict `_memo` by the functions that derive it; the memo lives as
-    long as the chain and never enters a report.
+    cut table, the minimizer's results, kernel extremes) is computed once and
+    memoized in the private dict `_memo` by the functions that derive it; the
+    memo lives as long as the chain and never enters a report.
     """
 
     __slots__ = (
@@ -69,11 +69,12 @@ class MarkovChain:
 
     def vertex_mask(self, subset):
         """The bitmask of a set of vertices: bit v stands for vertex v."""
+        vcount = self.graph.vertex_count
         mask = 0
         for v in subset:
+            if not 0 <= v < vcount:
+                raise ValueError("vertex out of range")
             mask |= 1 << v
-        if mask >> self.graph.vertex_count:
-            raise ValueError("vertex out of range")
         return mask
 
     def scalar(self, num, den):
@@ -88,7 +89,7 @@ class MarkovChain:
         """
         if not mask:
             raise ValueError("boundary of the empty set is undefined")
-        members = [v for v in range(mask.bit_length()) if mask >> v & 1]
+        members = _members(mask)
         pi_num = self._pi_num
         out_num = self._out_num
         mass = 0
@@ -101,20 +102,20 @@ class MarkovChain:
 
     def pi_mass(self, subset):
         mask = self.vertex_mask(subset)
-        return self.scalar(self.cut_num(mask)[0], self._den) if mask else 0
+        return self.scalar(self.cut_num(mask)[0] if mask else 0, self._den)
 
     def directed_boundary(self, subset):
         """Total flow out of `subset`: sum of phi(u,v) over arcs leaving it."""
         return self.scalar(self.cut_num(self.vertex_mask(subset))[1], self._den)
 
     def inflow(self, subset):
-        """Total flow into `subset`: sum of phi(v,u) over arcs entering it."""
+        """Total flow into `subset`: sum of phi(v,u) over arcs entering it, which
+        is the flow out of its complement."""
         mask = self.vertex_mask(subset)
         if not mask:
             raise ValueError("inflow of the empty set is undefined")
-        members = [u for u in range(mask.bit_length()) if mask >> u & 1]
-        total = sum(row[u] for v, row in enumerate(self._phi_num) if not mask >> v & 1 for u in members)
-        return self.scalar(total, self._den)
+        rest = mask ^ ((1 << self.graph.vertex_count) - 1)
+        return self.scalar(self.cut_num(rest)[1] if rest else 0, self._den)
 
     def boundary_ratio(self, subset):
         """Normalized outflow boundary(Q)/pi(Q)."""
@@ -127,6 +128,11 @@ class MarkovChain:
     def __repr__(self):
         mode = "exact" if self.exact else "float"
         return f"MarkovChain({self.graph!r}, {mode})"
+
+
+def _members(mask):
+    """The vertices of the bitmask `mask`, in increasing order."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
 def _validate_kernel(graph, kernel, exact):

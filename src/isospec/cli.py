@@ -459,15 +459,13 @@ def _parser():
     return build_parser()
 
 
-def _parse(argv):
-    """(args, None) for a valid command line, else (None, exit code)."""
+def run(argv):
+    """Execute one CLI invocation; returns (exit_code, report dict), with no
+    report when the command line does not parse or asks for help."""
     try:
-        return _parser().parse_args(argv), None
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
-        return None, (2 if exc.code not in (0, None) else 0)
-
-
-def _execute(args, argv):
+        return (2 if exc.code not in (0, None) else 0), None
     start = time.time()
     try:
         payload, checks, findings = args.fn(args)
@@ -487,23 +485,15 @@ def _execute(args, argv):
     return code, report
 
 
-def run(argv):
-    """Execute one CLI invocation; returns (exit_code, report dict)."""
-    args, code = _parse(argv)
-    if args is None:
-        return code, None
-    return _execute(args, argv)
-
-
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    args, code = _parse(argv)
-    if args is None:
+    code, report = run(argv)
+    if report is None:
         return code
-    code, report = _execute(args, argv)
     if "error" in report:
         print(f"error: {report['error']}", file=sys.stderr)
         return code
+    args = _parser().parse_args(argv)   # valid: run parsed it
     text = canonical_json(
         {k: v for k, v in report.items() if k != "timing_s"}
     ) if args.json else _render_text(report)

@@ -4,8 +4,8 @@ The n'th isoperimetric value of a chain is the minimum over families of n
 pairwise-disjoint nonempty vertex sets of the mean normalized outflow
 (1/n) sum_i boundary(Q_i)/pi(Q_i); the tilde variant restricts the minimum
 to partitions.  Minimization is exact, and its results are memoized on the
-chain.  A top-level call that misses the memo builds one cut table of all 2^V
-vertex sets (each set's integer mass and outflow, its ratio as a correctly
+chain, as is the one cut table of all 2^V vertex sets that the first search
+builds (each set's integer mass and outflow, its ratio as a correctly
 rounded float, and the least ratio over the subsets of each set).  A
 branch-and-bound search over canonical families cuts a branch when a float
 lower bound from that table, taken at an anchor, inside a class or at a
@@ -31,9 +31,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
 from math import inf, lcm
 
+from .chains import _members
 from .errors import CapExceeded, InvalidFamily
 from .graphs import SubsetFamily, _class_masks
 from .tolerance import INPUT, PRUNE_MARGIN, at_most
@@ -127,6 +127,8 @@ class CutTable:
     (mass[S], boundary[S]) is `chain.cut_num(S)`, exact on either backend;
     ratio_f[S] is boundary(S)/pi(S) correctly rounded and lb[S] the least
     ratio_f over the nonempty subsets of S (the empty set has 0, 0, inf, inf).
+    The table is memoized on its chain and shared by every caller, so its
+    lists are never changed.
     """
 
     vertex_count: int
@@ -137,18 +139,21 @@ class CutTable:
 
 
 def cut_table(chain):
-    """The cut table of `chain`: O(2^V) integer sums plus an O(V 2^V) subset-min
-    transform.  A set's mass, outflow and inner flow are extended from the set
-    without its largest vertex.
+    """The cut table of `chain`, built once and memoized on it: O(2^V) integer
+    sums plus an O(V 2^V) subset-min transform.  A set T | h is extended from
+    T, the set without its largest vertex h: adding h adds h's outflow and
+    removes the flow between h and T, both directions, from the boundary.
     """
+    table = chain._memo.get("cut_table")
+    if table is not None:
+        return table
     vcount = chain.graph.vertex_count
     pi_v = chain._pi_num
     phi = chain._phi_num
     out_v = chain._out_num
     size = 1 << vcount
     pi_num = [0] * size
-    out_sum = [0] * size
-    inner = [0] * size     # flow between members, both directions
+    boundary = [0] * size
     for h in range(vcount):
         base = 1 << h
         sym = [phi[h][m] + phi[m][h] for m in range(h)]
@@ -160,18 +165,17 @@ def cut_table(chain):
         oh = out_v[h]
         for t in range(base):
             pi_num[base | t] = pi_num[t] + ph
-            out_sum[base | t] = out_sum[t] + oh
-            inner[base | t] = inner[t] + cross[t]
-    boundary_num = [o - i for o, i in zip(out_sum, inner)]
+            boundary[base | t] = boundary[t] + oh - cross[t]
     # int true division rounds once
-    ratio_f = [inf] + [b / m for m, b in zip(pi_num[1:], boundary_num[1:])]
+    ratio_f = [inf] + [b / m for m, b in zip(pi_num[1:], boundary[1:])]
     lb = list(ratio_f)
     for v in range(vcount):
         bit = 1 << v
         for s in range(size):
             if s & bit and lb[s ^ bit] < lb[s]:
                 lb[s] = lb[s ^ bit]
-    return CutTable(vcount, pi_num, boundary_num, ratio_f, lb)
+    table = chain._memo["cut_table"] = CutTable(vcount, pi_num, boundary, ratio_f, lb)
+    return table
 
 
 def _minimize(chain, n, mode, table):
@@ -280,10 +284,6 @@ def _minimize(chain, n, mode, table):
     return chain.scalar(best_num, best_den * n), witness, leaves
 
 
-def _members(mask):
-    return [v for v in range(mask.bit_length()) if mask >> v & 1]
-
-
 def _check_query(chain, n, mode, cap):
     """Refuse an n outside 1..V, an unknown mode and a chain over the cap."""
     vcount = chain.graph.vertex_count
@@ -297,13 +297,13 @@ def _check_query(chain, n, mode, cap):
         )
 
 
-def _report(chain, n, mode, table):
+def _report(chain, n, mode):
     """The report for one n; the side `mode` leaves out is None.
 
     Each side's (value, witness, leaves) is memoized on the chain, so
     families_examined is the leaf count of the searches that produced the
-    memoized results.  `table()` gives the chain's cut table; it is called
-    only for a side that is not memoized yet.
+    memoized results.  The chain's cut table is asked for only for a side
+    that is not memoized yet.
     """
     memo = chain._memo
     found = {}
@@ -311,7 +311,7 @@ def _report(chain, n, mode, table):
         if mode in (side, "both"):
             key = ("iota", n, side)
             if key not in memo:
-                memo[key] = _minimize(chain, n, side, table())
+                memo[key] = _minimize(chain, n, side, cut_table(chain))
             found[side] = memo[key]
     iota, witness, leaves = found.get("disjoint", (None, None, 0))
     iota_tilde, witness_tilde, leaves_tilde = found.get("partition", (None, None, 0))
@@ -324,22 +324,20 @@ def isoperimetric_constant(chain, n, mode="both", *, cap=DEFAULT_CAP):
     """Exact iota_n / iota~_n with minimizing witnesses, from one cut table.
 
     mode selects which side is computed ("disjoint", "partition" or "both");
-    the unsolved side is reported as None.  Results are memoized on the chain.
-    For several n of one chain use `isoperimetric_table`, which shares the cut
-    table across them.
+    the unsolved side is reported as None.  Results and the cut table are
+    memoized on the chain.
     """
     _check_query(chain, n, mode, cap)
-    return _report(chain, n, mode, cache(partial(cut_table, chain)))
+    return _report(chain, n, mode)
 
 
 def isoperimetric_table(chain, max_n=None, mode="both", *, cap=DEFAULT_CAP):
-    """Reports for n = 1..max_n (default the vertex count), from at most one
-    cut table; `mode` is as in `isoperimetric_constant`."""
+    """Reports for n = 1..max_n (default the vertex count), from the chain's
+    one cut table; `mode` is as in `isoperimetric_constant`."""
     if max_n is None:
         max_n = chain.graph.vertex_count
     _check_query(chain, max_n, mode, cap)
-    table = cache(partial(cut_table, chain))   # built on the first memo miss, if any
-    return tuple(_report(chain, n, mode, table) for n in range(1, max_n + 1))
+    return tuple(_report(chain, n, mode) for n in range(1, max_n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -475,21 +473,20 @@ def level_set_rounding(chain, fam):
         order = sorted((v for v in range(len(g)) if g[v] > 0), key=lambda v: (g[v], v), reverse=True)
         members = []
         psum = 0
-        osum = 0
-        inner = 0
+        b = 0    # boundary of members, extended a vertex at a time as in cut_table
         best_b = best_p = best_set = None
         i = 0
         while i < len(order):
             j = i
             while j < len(order) and g[order[j]] == g[order[i]]:
                 t = order[j]
+                row = phi_num[t]
+                b += out_num[t]
                 for m in members:
-                    inner += phi_num[t][m] + phi_num[m][t]
+                    b -= row[m] + phi_num[m][t]
                 members.append(t)
                 psum += pi_num[t]
-                osum += out_num[t]
                 j += 1
-            b = osum - inner
             # boundary / mass is b / psum
             if best_set is None or b * best_p < best_b * psum:
                 best_b, best_p = b, psum

@@ -118,17 +118,32 @@ def test_reversibilized_kernel_self_adjoint(p3):
             assert rev.pi[u] * rev.kernel[u][v] == rev.pi[v] * rev.kernel[v][u]
 
 
+def _float_twin(ch):
+    return build_chain(ch.graph, [[float(x) for x in row] for row in ch.kernel])
+
+
 def test_boundary_examples(c4, dicycle3):
     assert c4.directed_boundary({0, 1}) == F(1, 4)
     assert c4.pi_mass({0, 1}) == F(1, 2)
     assert c4.directed_boundary(range(4)) == 0
     assert dicycle3.directed_boundary({0}) == F(1, 3)
     assert dicycle3.inflow({0}) == F(1, 3)
+    # the empty set has the chain's zero mass, on both backends
+    assert repr(c4.pi_mass(set())) == repr(F(0))
+    assert repr(_float_twin(c4).pi_mass(set())) == repr(0.0)
 
 
 def test_boundary_empty_set_rejected(c4):
     with pytest.raises(ValueError):
         c4.directed_boundary(set())
+
+
+def test_cut_methods_reject_vertices_out_of_range(c4):
+    for ch in (c4, _float_twin(c4)):
+        for fn in (ch.pi_mass, ch.directed_boundary, ch.inflow, ch.boundary_ratio):
+            for subset in ({-1}, {4}, {0, -1}, {1, 4}):
+                with pytest.raises(ValueError, match="vertex out of range"):
+                    fn(subset)
 
 
 def test_flow_conservation_random_subsets():

@@ -49,7 +49,7 @@ def test_no_public_function_takes_a_tolerance():
 def test_no_public_function_takes_optional_precomputed_data():
     """A function that needs a cut table, iota reports or a spectrum either
     builds it or requires it; none computes it only when the caller left it
-    out.  Several n of one chain share a cut table through isoperimetric_table."""
+    out.  A chain's cut table is memoized on it, so every n shares it."""
     optional = {"reports", "iso_report", "spectrum_report"}
     found = [
         f"{fn}({p})"
