@@ -13,50 +13,46 @@ from .tolerance import INPUT, ROW_SUM, is_exact
 class MarkovChain:
     """A row-stochastic kernel on a base graph with its stationary distribution.
 
-    Stores the induced flow phi(u,v) = K(u,v) pi(u), the additive
-    reversibilization K_bar = (K + K*)/2 and its flow phi_bar.  In exact mode
-    every entry is a Fraction; otherwise floats.  The public fields are never
-    changed after construction, so data derived from them (the spectrum, the
-    cut table, the minimizer's results, kernel extremes) is computed once and
-    memoized in the private dict `_memo` by the functions that derive it; the
-    memo lives as long as the chain and never enters a report.
+    Stores the kernel and pi tuples it is given, the induced flow
+    phi(u,v) = K(u,v) pi(u), the additive reversibilization K_bar = (K + K*)/2
+    and its flow phi_bar.  In exact mode every entry is a Fraction; otherwise
+    floats.  phi_bar and K_bar are made once by `scalar` from the integer unit.
+    The public fields are never changed after construction, so data derived
+    from them (the spectrum, the cut table, the minimizer's results, kernel
+    extremes) is computed once and memoized in the private dict `_memo` by the
+    functions that derive it; the memo lives as long as the chain and never
+    enters a report.
     """
 
     __slots__ = (
         "graph", "kernel", "pi", "exact", "phi", "kbar", "phibar",
-        "_den", "_pi_num", "_phi_num", "_out_num", "_memo",
+        "_den", "_pi_num", "_phi_num", "_sym_num", "_out_num", "_memo",
     )
 
     def __init__(self, graph, kernel, pi, exact):
         n = graph.vertex_count
         self.graph = graph
-        self.kernel = tuple(tuple(row) for row in kernel)
-        self.pi = tuple(pi)
+        self.kernel = kernel
+        self.pi = pi
         self.exact = exact
-
-        K, p = self.kernel, self.pi
-        half = Fraction(1, 2) if exact else 0.5
-        self.phi = tuple(tuple(K[u][v] * p[u] for v in range(n)) for u in range(n))
-        self.kbar = tuple(
-            tuple(half * (K[u][v] + K[v][u] * p[v] / p[u]) for v in range(n))
-            for u in range(n)
-        )
-        self.phibar = tuple(
-            tuple(half * (self.phi[u][v] + self.phi[v][u]) for v in range(n))
-            for u in range(n)
-        )
+        self.phi = tuple(tuple(k * p for k in row) for row, p in zip(kernel, pi))
 
         # The cut functionals run on one integer unit, pi = _pi_num / _den and phi =
         # _phi_num / _den, exact on both backends (a float is a dyadic rational).
         # On an exact chain _den is phi's own denominator: pi(u) = sum_v phi(u, v).
-        pi_q = [x.as_integer_ratio() for x in p]
+        # _sym_num[u][v] is the flow between u and v, both ways: phi_bar(u, v) is
+        # _sym_num[u][v] / 2 _den and K_bar(u, v) is _sym_num[u][v] / 2 _pi_num[u].
+        pi_q = [x.as_integer_ratio() for x in pi]
         phi_q = [[x.as_integer_ratio() for x in row] for row in self.phi]
         self._den = den = lcm(*(d for _, d in pi_q), *(d for row in phi_q for _, d in row))
-        self._pi_num = tuple(a * (den // d) for a, d in pi_q)
-        self._phi_num = tuple(tuple(a * (den // d) for a, d in row) for row in phi_q)
-        self._out_num = tuple(
-            sum(self._phi_num[u][v] for v in range(n) if v != u) for u in range(n)
+        self._pi_num = pi_num = tuple(a * (den // d) for a, d in pi_q)
+        self._phi_num = phi = tuple(tuple(a * (den // d) for a, d in row) for row in phi_q)
+        self._sym_num = sym = tuple(
+            tuple(phi[u][v] + phi[v][u] for v in range(n)) for u in range(n)
         )
+        self._out_num = tuple(sum(row) - row[u] for u, row in enumerate(phi))
+        self.phibar = tuple(tuple(self.scalar(x, 2 * den) for x in row) for row in sym)
+        self.kbar = tuple(tuple(self.scalar(x, 2 * p) for x in row) for row, p in zip(sym, pi_num))
         self._memo = {}
 
     @property

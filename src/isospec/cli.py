@@ -497,11 +497,15 @@ def main(argv=None):
     text = canonical_json(
         {k: v for k, v in report.items() if k != "timing_s"}
     ) if args.json else _render_text(report)
-    if args.out:
+    if not args.out:
+        print(text)
+        return code
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return code
 
 

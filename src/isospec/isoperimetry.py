@@ -149,14 +149,13 @@ def cut_table(chain):
         return table
     vcount = chain.graph.vertex_count
     pi_v = chain._pi_num
-    phi = chain._phi_num
     out_v = chain._out_num
     size = 1 << vcount
     pi_num = [0] * size
     boundary = [0] * size
     for h in range(vcount):
         base = 1 << h
-        sym = [phi[h][m] + phi[m][h] for m in range(h)]
+        sym = chain._sym_num[h]
         cross = [0] * base  # cross[T]: flow between h and the members of T
         for t in range(1, base):
             top = t.bit_length() - 1
@@ -466,7 +465,7 @@ def level_set_rounding(chain, fam):
     Ties go to the first minimal level, the one with the largest values."""
     form = _family_form(chain, fam)
     pi_num = chain._pi_num
-    phi_num = chain._phi_num
+    sym_num = chain._sym_num
     out_num = chain._out_num
     classes = []
     for g, _ in form:
@@ -480,10 +479,10 @@ def level_set_rounding(chain, fam):
             j = i
             while j < len(order) and g[order[j]] == g[order[i]]:
                 t = order[j]
-                row = phi_num[t]
+                row = sym_num[t]
                 b += out_num[t]
                 for m in members:
-                    b -= row[m] + phi_num[m][t]
+                    b -= row[m]
                 members.append(t)
                 psum += pi_num[t]
                 j += 1

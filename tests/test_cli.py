@@ -203,6 +203,17 @@ def test_probes_honour_cap():
     assert "exceeds the enumeration cap 4" in report["error"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--cap", "9", "probe", "three-clique", "--sweep", "3..3"], "needs 10 vertices; cap is 9"),
+    (["--cap", "6", "probe", "circulant", "--order", "7"], "order 7 exceeds cap 6"),
+])
+def test_probes_refuse_a_graph_over_the_cap_before_building_it(argv, message, capsys):
+    code, report = run(argv)
+    assert code == 2 and message in report["error"]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("max_n", ["0", "1", "-1"])
 def test_probe_gencheeger_max_n_below_two_rejected(max_n, capsys):
     argv = ["probe", "gencheeger", "--max-vertices", "3", "--max-n", max_n]
@@ -279,6 +290,15 @@ def test_json_and_out_flag(docs, tmp_path, capsys, spelling):
     data = json.loads(out.read_text())
     assert data["payload"]["iota"] == "1/2"
     assert "timing_s" not in data
+
+
+def test_out_path_that_cannot_be_opened_is_an_input_error(docs, tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["--json", "--out", str(out), "spectrum", docs["c4"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert not out.parent.exists()
 
 
 def test_consecutive_runs_share_no_state(docs, tmp_path, capsys):

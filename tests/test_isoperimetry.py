@@ -310,14 +310,25 @@ def test_cut_table_matches_cut_num(ch):
 def test_pi_and_phi_share_one_integer_unit(ch, data):
     """On both backends _pi_num / _den and _phi_num / _den are exactly pi and
     phi; on an exact chain pi(u) = sum_v phi(u, v) holds in the integers, and
-    inflow is the exact inflow, rounded once on a float chain."""
+    inflow is the exact inflow, rounded once on a float chain.  phi_bar and
+    K_bar are the symmetric flow phi(u,v) + phi(v,u) over 2 D and over
+    2 pi_num(u), each made once by scalar; on an exact chain K_bar is
+    (K(u,v) + K(v,u) pi(v) / pi(u)) / 2."""
     twin = _float_twin(ch)
+    v = ch.graph.vertex_count
     for c in (ch, twin):
         assert [F(x, c._den) for x in c._pi_num] == list(map(F, c.pi))
         assert [[F(x, c._den) for x in row] for row in c._phi_num] == [
             list(map(F, row)) for row in c.phi]
+        for a, b in product(range(v), repeat=2):
+            flow = c._phi_num[a][b] + c._phi_num[b][a]
+            assert repr(c.phibar[a][b]) == repr(c.scalar(flow, 2 * c._den))
+            assert repr(c.kbar[a][b]) == repr(c.scalar(flow, 2 * c._pi_num[a]))
+            assert c._sym_num[a][b] == c._sym_num[b][a] == flow
+    K, p = ch.kernel, ch.pi
+    assert ch.kbar == tuple(tuple((K[a][b] + K[b][a] * p[b] / p[a]) / 2 for b in range(v))
+                            for a in range(v))
     assert list(ch._pi_num) == [sum(row) for row in ch._phi_num]
-    v = ch.graph.vertex_count
     for mask in data.draw(st.lists(st.integers(1, (1 << v) - 1), min_size=1, max_size=12)):
         q = [u for u in range(v) if mask >> u & 1]
         for c in (ch, twin):
@@ -828,6 +839,28 @@ def test_structural_chain_c4(c4):
     assert out["passed"], out["findings"]
     assert out["iota_chain"] == (0, F(1, 2), F(5, 6), F(1))
     assert out["endpoint"] == F(1)
+
+
+@pytest.mark.parametrize("doctor, checks", [
+    # iota_2 and iota_3 swapped
+    ({1: {"iota": 2}, 2: {"iota": 1}}, ["gap_lower", "two_geometric", "disjoint_monotone"]),
+    # iota~_3 and iota~_4 swapped
+    ({2: {"iota_tilde": 3}, 3: {"iota_tilde": 2}}, ["gap_lower", "partition_monotone"]),
+    # iota_1 = iota~_1 = 1/2 and iota_4 = 0
+    ({0: {"iota": 1, "iota_tilde": 1}, 3: {"iota": 0}},
+     ["gap_upper", "partition_monotone", "disjoint_monotone", "chain_start", "chain_endpoint"]),
+])
+def test_structural_violations_are_findings(c4, doctor, checks):
+    """A doctored C4 table, each changed value taken from another row of the
+    true one, is reported as the named findings, on both backends."""
+    for c in (c4, _float_twin(c4)):
+        table = isoperimetric_table(c)
+        bad = [dataclasses.replace(rep, **{k: getattr(table[src], k) for k, src in
+                                            doctor.get(i, {}).items()})
+               for i, rep in enumerate(table)]
+        out = structural_inequalities_check(c, bad, samples=2)
+        assert out["passed"] is False
+        assert [f["check"] for f in out["findings"]] == checks, c
 
 
 def test_structural_lazy_endpoint():
