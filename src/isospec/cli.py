@@ -83,7 +83,7 @@ def cmd_spectrum(args):
 def cmd_iso(args):
     chain = _load_chain(args.graph, args)
     rep = isoperimetric_constant(chain, args.n, args.mode, cap=args.cap)
-    payload = {"n": args.n, "mode": args.mode, "families_examined": rep.families_examined}
+    payload = {"n": args.n, "mode": args.mode}
     if rep.iota is not None:
         payload["iota"] = rep.iota
         payload["witness"] = [sorted(c) for c in rep.witness.classes]

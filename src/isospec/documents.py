@@ -46,14 +46,16 @@ def parse_graph(text):
     if "vertices" not in doc or "arcs" not in doc:
         raise InvalidDocument("graph document needs 'vertices' and 'arcs'")
     vertices = doc["vertices"]
-    if not isinstance(vertices, (int, list)):
+    if not isinstance(vertices, (int, list)) or isinstance(vertices, bool):
         raise InvalidDocument("'vertices' must be a count or a list of labels")
     arcs = doc["arcs"]
     if not isinstance(arcs, list) or any(
         not isinstance(a, list) or len(a) != 2 for a in arcs
     ):
         raise InvalidDocument("'arcs' must be a list of [from, to] pairs")
-    undirected = bool(doc.get("undirected", False))
+    undirected = doc.get("undirected", False)
+    if not isinstance(undirected, bool):
+        raise InvalidDocument("'undirected' must be true or false")
     try:
         graph = make_graph(vertices, [tuple(a) for a in arcs], undirected=undirected)
     except (ValueError, KeyError) as exc:

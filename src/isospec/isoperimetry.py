@@ -48,7 +48,6 @@ class IsoperimetricReport:
     iota_tilde: object
     witness: object
     witness_tilde: object
-    families_examined: int   # complete families the searches reached and scored
 
 
 @dataclass(frozen=True)
@@ -181,7 +180,9 @@ def _minimize(chain, n, mode, table):
     """Minimum mean normalized outflow over canonical families, with its witness.
 
     Returns (value, witness, leaves), leaves being the complete families the
-    search reached and scored.  Classes are built one at a time in canonical
+    search reached and scored.  The leaf count enters no report: it depends on
+    the search, not on the chain, and its one reader is the benchmark's tracer
+    (perfbench/tracing.py).  Classes are built one at a time in canonical
     order: class k's anchor is its minimum, the anchors increase, and in
     disjoint mode the vertices passed over by an anchor stay unassigned.  With
     `partial` the float sum of the closed classes' ratios and LB the subset
@@ -299,10 +300,8 @@ def _check_query(chain, n, mode, cap):
 def _report(chain, n, mode):
     """The report for one n; the side `mode` leaves out is None.
 
-    Each side's (value, witness, leaves) is memoized on the chain, so
-    families_examined is the leaf count of the searches that produced the
-    memoized results.  The chain's cut table is asked for only for a side
-    that is not memoized yet.
+    Each side's (value, witness) is memoized on the chain; the chain's cut
+    table is asked for only for a side that is not memoized yet.
     """
     memo = chain._memo
     found = {}
@@ -310,13 +309,11 @@ def _report(chain, n, mode):
         if mode in (side, "both"):
             key = ("iota", n, side)
             if key not in memo:
-                memo[key] = _minimize(chain, n, side, cut_table(chain))
+                memo[key] = _minimize(chain, n, side, cut_table(chain))[:2]
             found[side] = memo[key]
-    iota, witness, leaves = found.get("disjoint", (None, None, 0))
-    iota_tilde, witness_tilde, leaves_tilde = found.get("partition", (None, None, 0))
-    return IsoperimetricReport(
-        n, iota, iota_tilde, witness, witness_tilde, leaves + leaves_tilde
-    )
+    iota, witness = found.get("disjoint", (None, None))
+    iota_tilde, witness_tilde = found.get("partition", (None, None))
+    return IsoperimetricReport(n, iota, iota_tilde, witness, witness_tilde)
 
 
 def isoperimetric_constant(chain, n, mode="both", *, cap=DEFAULT_CAP):
@@ -673,9 +670,17 @@ def structural_inequalities_check(chain, reports, samples=200, rng=None):
     weighted-mean bounds on `samples` random disjoint families per n.  Each
     comparison is `tolerance.at_most` (an equality is one both ways): exact on
     an exact chain, with float slack on a float chain.  Violations are returned
-    as findings, not raised.
+    as findings, not raised; a table that is not full and two-sided is
+    refused with ValueError.
     """
     vcount = chain.graph.vertex_count
+    if len(reports) != vcount or any(
+        rep.iota is None or rep.iota_tilde is None for rep in reports
+    ):
+        raise ValueError(
+            "structural_inequalities_check needs the chain's full two-sided "
+            f"isoperimetric_table: {vcount} reports with iota and iota_tilde"
+        )
     rng = rng or random.Random(20240)
     findings = []
 

@@ -7,7 +7,7 @@ import hashlib
 import json
 from fractions import Fraction
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def jsonable(obj):

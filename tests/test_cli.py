@@ -272,6 +272,32 @@ def test_input_errors_exit_2(docs, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("field, value", [("undirected", "false"), ("vertices", True)])
+def test_non_boolean_undirected_and_boolean_vertices_exit_2(tmp_path, capsys, field, value):
+    document = {"vertices": 4, "arcs": [[0, 1], [1, 2], [2, 3], [3, 0]], "undirected": True}
+    document[field] = value
+    path = write(tmp_path, "bad.graph", document)
+    argv = ["iso", path, "-n", "2"]
+    code, report = run(argv)
+    assert code == 2 and f"'{field}' must be" in report["error"]
+    assert main(argv) == 2
+    assert f"'{field}' must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, keys", [
+    ("disjoint", {"n", "mode", "iota", "witness"}),
+    ("partition", {"n", "mode", "iota_tilde", "witness_tilde"}),
+    ("both", {"n", "mode", "iota", "witness", "iota_tilde", "witness_tilde"}),
+])
+def test_iso_payload_holds_only_the_mathematics(docs, mode, keys):
+    """The iso payload is n, mode and the solved sides' values and witnesses,
+    under report schema 2; no search statistic enters it."""
+    code, report = run(["iso", docs["c4"], "-n", "2", "--mode", mode])
+    assert code == 0
+    assert report["schema"] == "2"
+    assert set(report["payload"]) == keys
+
+
 def test_cap_override(docs):
     code, report = run(["--cap", "3", "iso", docs["c4"], "-n", "2"])
     assert code == 2

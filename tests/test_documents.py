@@ -86,6 +86,23 @@ def test_malformed_documents():
             parse_chain(bad)
 
 
+@pytest.mark.parametrize("undirected", ["false", "true", 0, 1, None, []])
+def test_undirected_must_be_a_boolean(undirected):
+    with pytest.raises(InvalidDocument, match="'undirected' must be true or false"):
+        parse_graph(doc(vertices=2, arcs=[[0, 1]], undirected=undirected))
+
+
+def test_undirected_false_keeps_arcs_one_way():
+    graph, _ = parse_graph(doc(vertices=2, arcs=[[0, 1]], undirected=False))
+    assert not graph.has_arc(1, 0)
+
+
+@pytest.mark.parametrize("vertices", [True, False])
+def test_vertices_must_not_be_a_boolean(vertices):
+    with pytest.raises(InvalidDocument, match="'vertices' must be a count"):
+        parse_graph(doc(vertices=vertices, arcs=[]))
+
+
 def test_stationary_failure_propagates():
     with pytest.raises(NoNowherezeroStationary):
         parse_chain(doc(vertices=4, arcs=[[0, 1], [1, 0], [2, 3], [3, 2]],

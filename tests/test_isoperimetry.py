@@ -283,6 +283,34 @@ def test_minimizer_matches_bitmask_brute_force(ch, data):
         assert wit.label_tuple(twin.graph.vertex_count) == labels, mode
 
 
+@pytest.mark.parametrize("graph", [
+    cycle_graph(4),
+    path_graph(4),
+    cycle_graph(3, directed=True),
+    make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
+    cycle_graph(5),
+], ids=["c4", "p4", "dicycle3", "c4_chord", "c5"])
+def test_minimize_returns_a_bounded_leaf_count(graph):
+    """_minimize returns (value, witness, leaves) on both backends and in both
+    modes: the value and witness are what the report memoizes, and leaves is
+    an int from 1 to the number of canonical families.  No report carries the
+    leaf count; the benchmark's tracer reads it from this third element."""
+    exact = natural_walk(graph)
+    for ch in (exact, _float_twin(exact)):
+        table = cut_table(ch)
+        v = ch.graph.vertex_count
+        for n in range(1, v + 1):
+            rep = isoperimetric_constant(ch, n)
+            for mode, value, witness in (("disjoint", rep.iota, rep.witness),
+                                         ("partition", rep.iota_tilde, rep.witness_tilde)):
+                out = isoperimetry._minimize(ch, n, mode, table)
+                assert isinstance(out, tuple) and len(out) == 3
+                assert out[:2] == (value, witness), (n, mode)
+                leaves = out[2]
+                assert type(leaves) is int
+                assert 1 <= leaves <= len(list(enumerate_families(v, n, mode))), (n, mode)
+
+
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
 @given(rational_chains(1, 12))
 def test_cut_table_matches_cut_num(ch):
@@ -374,7 +402,7 @@ def test_memoized_answers_match_a_fresh_chain(ch, as_float, data):
     """A random sequence of iota and spectrum queries on one chain: each answer,
     and the same answer asked again once every query has run, is bit-for-bit
     the answer of a newly built chain (values, lexicographic witnesses,
-    families_examined, eigen-data), and the argument checks still raise."""
+    eigen-data), and the argument checks still raise."""
     warm = _float_twin(ch) if as_float else ch
     v = warm.graph.vertex_count
 
@@ -869,6 +897,18 @@ def test_structural_lazy_endpoint():
     assert out["passed"], out["findings"]
     assert out["endpoint"] == F(2, 3)
     assert out["iota_chain"][-1] == F(2, 3)
+
+
+def test_structural_check_refuses_a_table_that_is_not_full_and_two_sided():
+    """A table shorter or longer than the vertex count, or one with a side left
+    out, is refused with a ValueError, not a raw IndexError or TypeError."""
+    ch = natural_walk(cycle_graph(5))
+    for table in (isoperimetric_table(ch, 3),
+                  isoperimetric_table(ch) + isoperimetric_table(ch, 1),
+                  isoperimetric_table(ch, mode="disjoint"),
+                  isoperimetric_table(ch, mode="partition")):
+        with pytest.raises(ValueError, match="full two-sided isoperimetric_table"):
+            structural_inequalities_check(ch, table, samples=1)
 
 
 def test_loop_free_endpoint_is_one(k4, dicycle3):
