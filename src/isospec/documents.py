@@ -58,7 +58,7 @@ def parse_graph(text):
         raise InvalidDocument("'undirected' must be true or false")
     try:
         graph = make_graph(vertices, [tuple(a) for a in arcs], undirected=undirected)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise InvalidDocument(str(exc)) from exc
     return graph, doc.get("kernel")
 

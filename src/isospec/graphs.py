@@ -142,22 +142,28 @@ def make_graph(vertices, arcs, undirected=False):
     """Build a Graph from a vertex count or label list and an arc list.
 
     Arc endpoints may be integer indices or labels.  With undirected=True every
-    pair is expanded to both directions.
+    pair is expanded to both directions.  A negative vertex count and an
+    endpoint that is neither an index nor a label are refused with ValueError.
     """
     if isinstance(vertices, int):
+        if vertices < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {vertices}")
         labels = tuple(str(i) for i in range(vertices))
     else:
         labels = tuple(str(x) for x in vertices)
     index = {lab: i for i, lab in enumerate(labels)}
 
-    def resolve(x):
+    def resolve(x, arc):
         if isinstance(x, int) and not isinstance(x, bool):
             return x
-        return index[str(x)]
+        try:
+            return index[str(x)]
+        except KeyError:
+            raise ValueError(f"unknown vertex label {x!r} in arc {list(arc)!r}") from None
 
     pairs = []
     for u, v in arcs:
-        a, b = resolve(u), resolve(v)
+        a, b = resolve(u, (u, v)), resolve(v, (u, v))
         pairs.append((a, b))
         if undirected:
             pairs.append((b, a))

@@ -12,7 +12,9 @@ lower bound from that table, taken at an anchor, inside a class or at a
 class's close, exceeds the incumbent by more than a relative and absolute
 margin of 1e-9.  The float error of a bound is below 1e-14 relative, so the
 margin never cuts a family that ties the optimum or beats it; the surviving
-families are compared exactly.
+families are compared exactly.  The partition side is searched only when
+it must be: when the disjoint witness covers every vertex it is a partition,
+and then it is also the partition answer, value and witness (`_report`).
 
 The minimizer, the positive-family layer (random families, the gradient
 objective, level-set rounding) and the cut functionals (family objective, the
@@ -301,7 +303,21 @@ def _report(chain, n, mode):
     """The report for one n; the side `mode` leaves out is None.
 
     Each side's (value, witness) is memoized on the chain; the chain's cut
-    table is asked for only for a side that is not memoized yet.
+    table is asked for only for a side that is not memoized yet.  When the
+    disjoint search runs and its witness W covers every vertex, the partition
+    side is memoized from it too, as W's value and W's classes in mode
+    "partition", and its search is skipped.  That is its answer:
+
+    * value: W is a partition, so iota~_n <= objective(W) = iota_n <= iota~_n.
+      W's exact ratio sum is the same integer pair in both modes, so the
+      value, rounded once by `chain.scalar`, is the same on both backends;
+    * witness: every optimal partition is then an optimal disjoint family,
+      and W has the least canonical labelling of those, so W is also the
+      least optimal partition (a family's labelling is the same in both
+      modes).
+
+    A partition request with no disjoint result at hand, or after a W that
+    leaves a vertex out, searches.
     """
     memo = chain._memo
     found = {}
@@ -309,7 +325,9 @@ def _report(chain, n, mode):
         if mode in (side, "both"):
             key = ("iota", n, side)
             if key not in memo:
-                memo[key] = _minimize(chain, n, side, cut_table(chain))[:2]
+                value, witness = memo[key] = _minimize(chain, n, side, cut_table(chain))[:2]
+                if side == "disjoint" and sum(map(len, witness.classes)) == chain.graph.vertex_count:
+                    memo["iota", n, "partition"] = value, SubsetFamily(witness.classes, "partition")
             found[side] = memo[key]
     iota, witness = found.get("disjoint", (None, None))
     iota_tilde, witness_tilde = found.get("partition", (None, None))

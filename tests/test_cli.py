@@ -284,6 +284,19 @@ def test_non_boolean_undirected_and_boolean_vertices_exit_2(tmp_path, capsys, fi
     assert f"'{field}' must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("document, message", [
+    ({"vertices": 3, "arcs": [[0.0, 1], [1, 2], [2, 0]]},
+     "unknown vertex label 0.0 in arc [0.0, 1]"),
+    ({"vertices": -1, "arcs": []}, "vertex count must be nonnegative, got -1"),
+], ids=["float-endpoint", "negative-count"])
+def test_bad_vertex_references_exit_2_naming_their_cause(tmp_path, capsys, document, message):
+    path = write(tmp_path, "bad.graph", document)
+    argv = ["iso", path, "-n", "1"]
+    assert run(argv) == (2, {"error": message, "command": argv})
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("mode, keys", [
     ("disjoint", {"n", "mode", "iota", "witness"}),
     ("partition", {"n", "mode", "iota_tilde", "witness_tilde"}),

@@ -103,6 +103,17 @@ def test_vertices_must_not_be_a_boolean(vertices):
         parse_graph(doc(vertices=vertices, arcs=[]))
 
 
+@pytest.mark.parametrize("vertices, arcs, message", [
+    (3, [[0.0, 1]], "unknown vertex label 0.0 in arc [0.0, 1]"),
+    (3, [[None, 1]], "unknown vertex label None in arc [None, 1]"),
+    (-1, [], "vertex count must be nonnegative, got -1"),
+], ids=["float-endpoint", "null-endpoint", "negative-count"])
+def test_bad_vertex_references_name_their_cause(vertices, arcs, message):
+    with pytest.raises(InvalidDocument) as info:
+        parse_graph(doc(vertices=vertices, arcs=arcs))
+    assert str(info.value) == message
+
+
 def test_stationary_failure_propagates():
     with pytest.raises(NoNowherezeroStationary):
         parse_chain(doc(vertices=4, arcs=[[0, 1], [1, 0], [2, 3], [3, 2]],

@@ -43,6 +43,23 @@ def test_label_resolution():
     assert g.vertex_index("b") == 1
 
 
+@pytest.mark.parametrize("vertices, arc, named", [
+    (3, (0.0, 1), "0.0 in arc [0.0, 1]"),
+    (3, (None, 1), "None in arc [None, 1]"),
+    (["a", "b"], ("a", "c"), "'c' in arc ['a', 'c']"),
+], ids=["float", "null", "missing-label"])
+def test_unknown_arc_endpoint_is_named(vertices, arc, named):
+    with pytest.raises(ValueError) as info:
+        make_graph(vertices, [arc])
+    assert str(info.value) == f"unknown vertex label {named}"
+
+
+def test_vertex_count_must_be_nonnegative():
+    with pytest.raises(ValueError, match="vertex count must be nonnegative, got -1"):
+        make_graph(-1, [])
+    assert make_graph(0, []).vertex_count == 0
+
+
 def test_strong_connectivity():
     assert cycle_graph(3, directed=True).is_strongly_connected()
     assert not make_graph(3, [(0, 1), (1, 2)]).is_strongly_connected()

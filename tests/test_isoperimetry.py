@@ -438,6 +438,83 @@ def test_memoized_answers_match_a_fresh_chain(ch, as_float, data):
         isoperimetric_table(warm, v + 1)
 
 
+def _searched_partition_side(ch, n):
+    """Asserts that the report's partition side is the unconditional partition
+    search's answer (value by repr, witness with its mode and labelling) and
+    returns whether the report's disjoint witness covers every vertex, in
+    which case the partition side equals the disjoint side."""
+    v = ch.graph.vertex_count
+    rep = isoperimetric_constant(ch, n)
+    value, witness = isoperimetry._minimize(ch, n, "partition", cut_table(ch))[:2]
+    assert repr(rep.iota_tilde) == repr(value), n
+    assert rep.witness_tilde == witness, n
+    assert rep.witness_tilde.label_tuple(v) == witness.label_tuple(v), n
+    covers = sum(map(len, rep.witness.classes)) == v
+    if covers:
+        assert repr(rep.iota_tilde) == repr(rep.iota), n
+        assert rep.witness_tilde.classes == rep.witness.classes, n
+    return covers
+
+
+def _count_minimize(monkeypatch):
+    """Wraps the module's _minimize; returns the list of its calls' (n, mode)."""
+    calls = []
+    search = isoperimetry._minimize
+
+    def counted(chain, n, mode, table):
+        calls.append((n, mode))
+        return search(chain, n, mode, table)
+
+    monkeypatch.setattr(isoperimetry, "_minimize", counted)
+    return calls
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(rational_chains())
+def test_covering_disjoint_witness_is_the_partition_answer(ch):
+    """Every n, both backends: the partition side a report takes from a
+    covering disjoint witness is what the partition search returns."""
+    for c in (ch, _float_twin(ch)):
+        for n in range(1, c.graph.vertex_count + 1):
+            _searched_partition_side(c, n)
+
+
+@pytest.mark.parametrize("block, iota3, tilde3", [
+    (3, F(1, 7), F(17, 105)),
+    (4, F(1, 13), F(29, 312)),
+], ids=["three_clique_3", "three_clique_4"])
+def test_gap_chains_still_search_the_partition_side(monkeypatch, block, iota3, tilde3):
+    """On the three-clique gap chains the disjoint witness at n=3 leaves the
+    hub out, so iota~_3 comes from a partition search and stays above
+    iota_3; at n = 1..4 the partition side is the search's answer on both
+    backends."""
+    calls = _count_minimize(monkeypatch)
+    exact = natural_walk(three_clique_graph(block))
+    for ch in (exact, _float_twin(exact)):
+        for n in range(1, 5):
+            calls.clear()
+            covers = _searched_partition_side(ch, n)
+            if n == 3:
+                assert not covers
+                assert calls[:2] == [(3, "disjoint"), (3, "partition")]
+    rep = isoperimetric_constant(exact, 3)
+    assert (rep.iota, rep.iota_tilde) == (iota3, tilde3) and iota3 < tilde3
+
+
+def test_a_covering_disjoint_witness_skips_the_partition_search(monkeypatch):
+    calls = _count_minimize(monkeypatch)
+    isoperimetric_constant(natural_walk(cycle_graph(5)), 2, "both")
+    assert calls == [(2, "disjoint")]
+    calls.clear()
+    ch = natural_walk(cycle_graph(5))
+    isoperimetric_constant(ch, 2, "disjoint")
+    isoperimetric_constant(ch, 2, "partition")
+    assert calls == [(2, "disjoint")]
+    calls.clear()
+    isoperimetric_constant(natural_walk(three_clique_graph(3)), 3, "both")
+    assert calls == [(3, "disjoint"), (3, "partition")]
+
+
 def _bad_query_message(n, mode):
     if mode not in ("disjoint", "partition", "both"):
         return "mode must be 'disjoint', 'partition' or 'both'"
